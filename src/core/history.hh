@@ -138,8 +138,8 @@ struct HistoryConfig
 
     /**
      * Equal configurations evolve identical history state from the
-     * same retire stream — the property replay signature-stream
-     * sharing rests on.
+     * same retire stream, so they share one replay signature stream
+     * (ReplayStreamPlan).
      */
     bool operator==(const HistoryConfig &) const = default;
 };

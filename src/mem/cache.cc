@@ -20,25 +20,20 @@ setsFor(const CacheConfig &config)
 } // namespace
 
 Cache::Cache(const CacheConfig &config)
-    : config_(config), array_(setsFor(config), config.assoc)
+    : config_(config), lineShift_(floorLog2(config.lineBytes)),
+      array_(setsFor(config), config.assoc)
 {
     if (!isPowerOfTwo(config.lineBytes))
         chirp_fatal("cache '", config.name, "': line size must be a power "
                     "of two");
 }
 
-Addr
-Cache::lineKey(Addr addr) const
-{
-    return addr / config_.lineBytes;
-}
-
 bool
-Cache::access(Addr addr, bool write)
+Cache::accessLine(Addr key)
 {
-    (void)write; // allocate-on-write; no dirty-state modeling needed
     ++tick_;
-    const Addr key = lineKey(addr);
+    lastKey_ = key;
+    lastValid_ = true;
     const std::uint32_t set = array_.setIndex(key);
     const Addr tag = array_.tagOf(key);
 
@@ -81,6 +76,7 @@ Cache::reset()
     tick_ = 0;
     hits_ = 0;
     misses_ = 0;
+    lastValid_ = false;
 }
 
 } // namespace chirp

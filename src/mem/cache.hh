@@ -38,7 +38,20 @@ class Cache
      * LRU).
      * @return true on hit.
      */
-    bool access(Addr addr, bool write);
+    bool
+    access(Addr addr, bool write)
+    {
+        (void)write; // allocate-on-write; no dirty-state modeling needed
+        const Addr key = lineKey(addr);
+        // A repeat of the line touched last is present and already
+        // the most recent in its set, so only the hit count moves:
+        // skipping its recency tick leaves every LRU order unchanged.
+        if (key == lastKey_ && lastValid_) {
+            ++hits_;
+            return true;
+        }
+        return accessLine(key);
+    }
 
     /** Hit check without any state change (tests). */
     bool probe(Addr addr) const;
@@ -59,13 +72,19 @@ class Cache
         std::uint64_t lastUse = 0;
     };
 
-    Addr lineKey(Addr addr) const;
+    Addr lineKey(Addr addr) const { return addr >> lineShift_; }
+
+    /** access() past the last-line memo. */
+    bool accessLine(Addr key);
 
     CacheConfig config_;
+    unsigned lineShift_; //!< log2(lineBytes)
     SetAssocArray<Line> array_;
     std::uint64_t tick_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
+    Addr lastKey_ = 0;       //!< line the previous access touched
+    bool lastValid_ = false; //!< lastKey_ is meaningful
 };
 
 } // namespace chirp

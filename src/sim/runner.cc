@@ -11,6 +11,7 @@
 #include "core/chirp.hh"
 #include "core/ghrp.hh"
 #include "dist/fabric.hh"
+#include "sim/replay_streams.hh"
 #include "sim/run_journal.hh"
 #include "sim/simulator.hh"
 #include "trace/ingest/ingest.hh"
@@ -27,109 +28,59 @@ namespace chirp
 namespace
 {
 
-/**
- * One CHiRP signature-stream group: every CHiRP variant whose
- * signatures are configured identically (same history shape and
- * signature width — the common case in parameter sweeps) shares one
- * precomputed stream, because table geometry, hash, thresholds and
- * training knobs never touch the histories.
- */
-struct SigGroup
+/** Which replay stream, if any, one factory's policies consume. */
+struct StreamBinding
 {
-    HistoryConfig history;
-    unsigned signatureBits = 0;
-    std::vector<std::uint16_t> sigs;
+    enum class Kind : std::uint8_t
+    {
+        None,
+        Signature,
+        Ghrp,
+    };
+    Kind kind = Kind::None;
+    std::size_t index = 0; //!< into ReplayStreams::sigs or ::ghrp
 };
 
 /**
- * GHRP's analog: the global history register depends only on
- * historyShift — masks and signature width all apply downstream of
- * it — so variants sharing that field share one register stream.
+ * Probe one throwaway instance per factory and register the history
+ * stream each needs: CHiRP variants a signature stream, GHRP variants
+ * a global-history stream.  Runs once per suite call; the instances
+ * actually simulated are constructed fresh inside each guarded job so
+ * a retried attempt starts from scratch.  A factory whose probe
+ * throws stays unbound, and its own job reports the failure.
  */
-struct GhrpGroup
+std::vector<StreamBinding>
+bindReplayStreams(const std::vector<PolicyFactory> &factories,
+                  std::uint32_t sets, std::uint32_t assoc,
+                  ReplayStreamPlan &plan)
 {
-    unsigned historyShift = 0;
-    std::vector<std::uint64_t> hists;
-};
-
-/**
- * Precompute every group's replay stream in a single walk of the
- * record stream: at each L2 event capture, per CHiRP group,
- * foldXor(history.signature(pc), signatureBits) — and per GHRP
- * group the current global history register — using the pre-update
- * state exactly as onAccessBegin does; then apply each group's
- * history update rules for the record (onInstRetired's path filter
- * and onBranchRetired's class split for CHiRP, the conditional-
- * branch outcome/address shift for GHRP).  Sharing the walk means
- * the 30M-record retire stream is touched once per workload however
- * many streamed policies ride on it.
- */
-void
-computeReplayStreams(std::vector<SigGroup> &groups,
-                     std::vector<GhrpGroup> &ghrp_groups,
-                     const ColumnarTrace &records,
-                     const std::vector<L2Event> &events)
-{
-    if (groups.empty() && ghrp_groups.empty())
-        return;
-    std::vector<ControlFlowHistory> hist;
-    hist.reserve(groups.size());
-    for (SigGroup &group : groups) {
-        group.sigs.reserve(events.size());
-        hist.emplace_back(group.history);
-    }
-    std::vector<std::uint64_t> ghist(ghrp_groups.size(), 0);
-    for (GhrpGroup &group : ghrp_groups)
-        group.hists.reserve(events.size());
-    // Only the pc and meta columns feed the histories; the effective
-    // address and target columns are never touched here.
-    const Addr *pcs = records.pc();
-    std::size_t e = 0;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        while (e < events.size() && events[e].now == i) {
-            for (std::size_t g = 0; g < groups.size(); ++g) {
-                groups[g].sigs.push_back(
-                    static_cast<std::uint16_t>(foldXor(
-                        hist[g].signature(events[e].pc),
-                        groups[g].signatureBits)));
-            }
-            for (std::size_t g = 0; g < ghrp_groups.size(); ++g)
-                ghrp_groups[g].hists.push_back(ghist[g]);
-            ++e;
+    std::vector<StreamBinding> bindings(factories.size());
+    // On the legacy trace tier GHRP keeps walking the retire stream:
+    // that path stays the byte-equality reference the CI leg diffs
+    // the streamed replay against.
+    const bool stream_ghrp = traceFormat() != TraceFormat::Legacy;
+    for (std::size_t p = 0; p < factories.size(); ++p) {
+        std::unique_ptr<ReplacementPolicy> probe;
+        try {
+            probe = factories[p](sets, assoc);
+        } catch (...) {
+            continue;
         }
-        if (e == events.size())
-            break; // trailing records can no longer matter
-        const Addr pc = pcs[i];
-        const InstClass cls = records.cls(i);
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            bool on_path = true;
-            switch (groups[g].history.pathFilter) {
-              case PathFilter::All:
-                break;
-              case PathFilter::Memory:
-                on_path = isMemory(cls);
-                break;
-              case PathFilter::Branch:
-                on_path = isBranch(cls);
-                break;
+        if (const auto *ghrp =
+                dynamic_cast<const GhrpPolicy *>(probe.get())) {
+            if (stream_ghrp) {
+                bindings[p] = {StreamBinding::Kind::Ghrp,
+                               plan.addGhrp(ghrp->config().historyShift)};
             }
-            if (on_path)
-                hist[g].onAccess(pc);
-            if (cls == InstClass::CondBranch)
-                hist[g].onCondBranch(pc);
-            else if (cls == InstClass::UncondIndirect)
-                hist[g].onUncondIndirectBranch(pc);
-        }
-        if (!ghrp_groups.empty() && cls == InstClass::CondBranch) {
-            for (std::size_t g = 0; g < ghrp_groups.size(); ++g) {
-                const unsigned shift = ghrp_groups[g].historyShift;
-                const std::uint64_t event =
-                    (bits(pc, shift, 2) << 1) |
-                    (records.taken(i) ? 1 : 0);
-                ghist[g] = (ghist[g] << shift) | event;
-            }
+        } else if (const auto *chirp =
+                       dynamic_cast<const ChirpPolicy *>(probe.get())) {
+            const ChirpConfig &cfg = chirp->config();
+            bindings[p] = {StreamBinding::Kind::Signature,
+                           plan.addSignature(cfg.history,
+                                             cfg.signatureBits)};
         }
     }
+    return bindings;
 }
 
 /**
@@ -744,6 +695,10 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
         if (missing[w] > 0)
             pending.push_back(w);
 
+    ReplayStreamPlan plan;
+    const std::vector<StreamBinding> bindings =
+        bindReplayStreams(factories, sets, assoc, plan);
+
     auto run_workload = [&](std::size_t w) {
         if (missing[w] == 0)
             return; // fully resumed or remotely delivered
@@ -778,57 +733,11 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
             store.drop(suite[w]);
             return;
         }
-        // Probe one throwaway instance per pending policy: CHiRP
-        // variants whose signatures are configured identically (same
-        // history shape and signature width — the common case in
-        // parameter sweeps) share one precomputed signature stream,
-        // so the retire stream is walked once per distinct
-        // configuration instead of once per variant.  The instances
-        // actually simulated are constructed fresh inside each
-        // guarded job so a retried attempt starts from scratch.
-        std::vector<SigGroup> groups;
-        std::vector<GhrpGroup> ghrp_groups;
-        std::vector<std::size_t> group_of(factories.size(), 0);
-        std::vector<bool> is_chirp(factories.size(), false);
-        std::vector<bool> is_ghrp(factories.size(), false);
-        for (std::size_t p = 0; p < factories.size(); ++p) {
-            if (done[p][w])
-                continue;
-            const auto probe = factories[p](sets, assoc);
-            // On the legacy trace tier GHRP keeps walking the retire
-            // stream: that path stays the byte-equality reference the
-            // CI leg diffs the streamed replay against.
-            if (const auto *ghrp =
-                    traceFormat() == TraceFormat::Legacy
-                        ? nullptr
-                        : dynamic_cast<const GhrpPolicy *>(probe.get())) {
-                is_ghrp[p] = true;
-                const unsigned shift = ghrp->config().historyShift;
-                std::size_t g = 0;
-                while (g < ghrp_groups.size() &&
-                       ghrp_groups[g].historyShift != shift)
-                    ++g;
-                if (g == ghrp_groups.size())
-                    ghrp_groups.push_back({shift, {}});
-                group_of[p] = g;
-                continue;
-            }
-            const auto *chirp =
-                dynamic_cast<const ChirpPolicy *>(probe.get());
-            if (!chirp)
-                continue;
-            is_chirp[p] = true;
-            const ChirpConfig &cfg = chirp->config();
-            std::size_t g = 0;
-            while (g < groups.size() &&
-                   !(groups[g].history == cfg.history &&
-                     groups[g].signatureBits == cfg.signatureBits))
-                ++g;
-            if (g == groups.size())
-                groups.push_back({cfg.history, cfg.signatureBits, {}});
-            group_of[p] = g;
-        }
-        computeReplayStreams(groups, ghrp_groups, *trace, events);
+        // One walk of the retire stream fills every bound policy's
+        // signature or global-history stream; its per-record cost is
+        // one register update per distinct history shape, not one per
+        // streamed configuration.
+        const ReplayStreams streams = plan.compute(*trace, events);
         // Policy-parallel batch replay (CHIRP_POLICY_PARALLEL):
         // evaluate every pending policy's table updates in one pass
         // over the shared event stream.  The pass is speculative and
@@ -845,14 +754,13 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
         }
         const auto make_policy = [&](std::size_t p) {
             auto policy = factories[p](sets, assoc);
-            if (is_chirp[p]) {
+            const StreamBinding &bound = bindings[p];
+            if (bound.kind == StreamBinding::Kind::Signature) {
                 static_cast<ChirpPolicy *>(policy.get())
-                    ->setSignatureStream(
-                        groups[group_of[p]].sigs.data());
-            } else if (is_ghrp[p]) {
+                    ->setSignatureStream(streams.sigs[bound.index].data());
+            } else if (bound.kind == StreamBinding::Kind::Ghrp) {
                 static_cast<GhrpPolicy *>(policy.get())
-                    ->setHistoryStream(
-                        ghrp_groups[group_of[p]].hists.data());
+                    ->setHistoryStream(streams.ghrp[bound.index].data());
             }
             return policy;
         };

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/cache_hierarchy.hh"
+#include "util/random.hh"
 
 namespace chirp
 {
@@ -55,6 +59,52 @@ TEST(Cache, ResetClears)
     EXPECT_FALSE(cache.probe(0x1000));
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
+}
+
+TEST(Cache, ResetForgetsTheLastLine)
+{
+    // A repeat of the line touched last is a hit without a set scan;
+    // reset() must drop that memo along with the lines.
+    Cache cache(tinyCache());
+    EXPECT_FALSE(cache.access(0x1000, false));
+    cache.reset();
+    EXPECT_FALSE(cache.access(0x1000, false));
+    EXPECT_TRUE(cache.access(0x1008, false));
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(Cache, MatchesReferenceLruUnderRepeats)
+{
+    // Reference: per-set recency lists, most recent first.  The
+    // stream repeats the previous line often, so the last-line memo
+    // and the set scan both run, and every outcome must match.
+    const CacheConfig config = tinyCache();
+    Cache cache(config);
+    const std::size_t sets = config.sizeBytes / config.lineBytes /
+                             config.assoc;
+    std::vector<std::vector<Addr>> lru(sets);
+    Rng rng(11);
+    Addr addr = 0;
+    for (int i = 0; i < 20000; ++i) {
+        if (!rng.chance(0.4))
+            addr = rng.below(32) * config.lineBytes + rng.below(64);
+        const Addr line = addr / config.lineBytes;
+        std::vector<Addr> &set = lru[line % sets];
+        const auto it = std::find(set.begin(), set.end(), line);
+        const bool hit = it != set.end();
+        if (hit)
+            set.erase(it);
+        else if (set.size() == config.assoc)
+            set.pop_back();
+        set.insert(set.begin(), line);
+        ASSERT_EQ(cache.access(addr, false), hit) << "access " << i;
+    }
+    for (Addr line = 0; line < 32; ++line) {
+        const std::vector<Addr> &set = lru[line % sets];
+        EXPECT_EQ(cache.probe(line * config.lineBytes),
+                  std::find(set.begin(), set.end(), line) != set.end());
+    }
 }
 
 TEST(Cache, RejectsIndivisibleGeometry)
