@@ -225,7 +225,7 @@ enterCoordinatorMode(BenchContext &ctx, const char *argv0,
     // publishes it (write-to-temp + rename, so concurrent writers are
     // safe) and everyone else loads — or, on the mmap tier, maps —
     // that one copy.
-    if (ctx.shareTraces && ctx.traceCacheDir.empty())
+    if (ctx.traceCacheDir.empty())
         ctx.traceCacheDir = "chirp-trace-cache";
     ctx.fabric = dist::SweepFabric::makeCoordinator(opts);
 
@@ -247,8 +247,6 @@ enterCoordinatorMode(BenchContext &ctx, const char *argv0,
         argv.push_back("--trace-cache");
         argv.push_back(absolutePath(ctx.traceCacheDir));
     }
-    if (!ctx.shareTraces)
-        argv.push_back("--no-trace-store");
     for (unsigned i = 0; i < workers; ++i) {
         if (!ctx.fabric->spawnWorker(argv))
             chirp_warn("failed to spawn worker ", i,
@@ -352,9 +350,6 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
         } else if (arg.rfind("--trace-cache=", 0) == 0) {
             ctx.traceCacheDir =
                 arg.substr(std::strlen("--trace-cache="));
-        } else if (arg == "--no-trace-store") {
-            ctx.shareTraces = false;
-            ctx.traceCacheDir.clear();
         } else if (arg == "--trace-format" ||
                    arg.rfind("--trace-format=", 0) == 0) {
             std::string value;
@@ -477,9 +472,8 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
                 parseCount("--worker-id", argv[++i]));
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
-                "usage: %s [--jobs N] [--trace-cache DIR] "
-                "[--no-trace-store]\n"
-                "       [--trace-format legacy|columnar|mmap]\n"
+                "usage: %s [--jobs N] [--trace-cache DIR]\n"
+                "       [--trace-format columnar|mmap]\n"
                 "       [--trace-in PATH]... "
                 "[--trace-in-format auto|champsim|cvp]\n"
                 "       [--ingest-bad-budget N]\n"
@@ -491,10 +485,7 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
                 "                     CHIRP_JOBS; 1 = serial)\n"
                 "  --trace-cache DIR  persist materialized traces in DIR\n"
                 "                     (default: CHIRP_TRACE_CACHE)\n"
-                "  --no-trace-store   regenerate the trace for every\n"
-                "                     policy (legacy path)\n"
-                "  --trace-format F   trace tier: legacy (row-major\n"
-                "                     reference), columnar (default)\n"
+                "  --trace-format F   trace tier: columnar (default)\n"
                 "                     or mmap (zero-copy disk cache);\n"
                 "                     sets CHIRP_TRACE_FORMAT so\n"
                 "                     --workers children inherit it\n"
@@ -631,15 +622,6 @@ runAllPolicies(const BenchContext &ctx)
 {
     std::map<PolicyKind, std::vector<WorkloadResult>> results;
     const Runner runner = ctx.runner();
-    if (!ctx.shareTraces) {
-        // Legacy path: every policy regenerates every workload.
-        for (const PolicyKind kind : allPolicyKinds()) {
-            results[kind] =
-                runner.runSuite(ctx.suite, Runner::factoryFor(kind),
-                                policyKindName(kind));
-        }
-        return results;
-    }
     std::vector<PolicyFactory> factories;
     std::vector<std::string> tags;
     for (const PolicyKind kind : allPolicyKinds()) {

@@ -8,12 +8,11 @@
  * variables (see workload_suite.hh).  Suite runs shard across worker
  * threads: `--jobs N` (or the CHIRP_JOBS environment variable) picks
  * the worker count, defaulting to hardware concurrency; `--jobs 1`
- * restores the legacy serial path.  Multi-policy sweeps materialize
+ * runs every job on the main thread.  Multi-policy sweeps materialize
  * each workload's trace once in the runner's TraceStore and replay
  * it for every policy; `--trace-cache DIR` (or CHIRP_TRACE_CACHE)
- * persists those traces on disk across runs, and `--no-trace-store`
- * restores the legacy regenerate-per-policy path.  CSVs are
- * bit-identical across all of those modes at any job count.
+ * persists those traces on disk across runs.  CSVs are bit-identical
+ * across all of those modes at any job count.
  *
  * Resilience: a failing job no longer aborts a bench.  Failures are
  * isolated per job, retried when transient (`--retries N`), cancelled
@@ -72,8 +71,6 @@ struct BenchContext
     unsigned jobs = 0;
     /** Disk tier for materialized traces ("" = memory only). */
     std::string traceCacheDir;
-    /** Share one materialization across policies (runSuiteMulti). */
-    bool shareTraces = true;
     /** Retry/watchdog knobs forwarded to every Runner. */
     ResilienceOptions resilience;
     /** Sidecar journal of completed jobs ("" disables journaling). */
@@ -134,7 +131,6 @@ BenchContext makeContext(std::size_t default_suite_size, bool mpki_only);
  * As above, but also parses the bench command line: `--jobs N` (or
  * `-j N`, `--jobs=N`) selects the suite-runner worker count,
  * `--trace-cache DIR` enables the on-disk trace tier,
- * `--no-trace-store` regenerates traces per policy (legacy path),
  * `--retries N` / `--job-timeout MS` tune failure handling,
  * `--resume` continues an interrupted run from its journal,
  * `--journal PATH` / `--no-journal` override the default
@@ -173,7 +169,7 @@ void printBanner(const std::string &title, const BenchContext &ctx);
  * Run every paper policy over the suite, returning results keyed by
  * policy (LRU is always included and is the baseline).  Each
  * workload's trace is materialized once and replayed for all
- * policies unless ctx.shareTraces is off.
+ * policies.
  */
 std::map<PolicyKind, std::vector<WorkloadResult>>
 runAllPolicies(const BenchContext &ctx);

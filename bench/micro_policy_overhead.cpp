@@ -292,8 +292,6 @@ writeJson(const CapturingReporter &reporter, const char *path)
                        "  \"unit\": \"ns_per_access\",\n"
                        "  \"note\": \"simd_backend=";
     json += simd::backendName(simd::activeBackend());
-    json += ";miss_path=";
-    json += chirp::batchMissPath() ? "batched" : "scalar";
     json += "\",\n"
             "  \"policies\": {\n";
     bool first = true;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <future>
 #include <thread>
 
@@ -55,10 +54,6 @@ bindReplayStreams(const std::vector<PolicyFactory> &factories,
                   ReplayStreamPlan &plan)
 {
     std::vector<StreamBinding> bindings(factories.size());
-    // On the legacy trace tier GHRP keeps walking the retire stream:
-    // that path stays the byte-equality reference the CI leg diffs
-    // the streamed replay against.
-    const bool stream_ghrp = traceFormat() != TraceFormat::Legacy;
     for (std::size_t p = 0; p < factories.size(); ++p) {
         std::unique_ptr<ReplacementPolicy> probe;
         try {
@@ -68,10 +63,8 @@ bindReplayStreams(const std::vector<PolicyFactory> &factories,
         }
         if (const auto *ghrp =
                 dynamic_cast<const GhrpPolicy *>(probe.get())) {
-            if (stream_ghrp) {
-                bindings[p] = {StreamBinding::Kind::Ghrp,
-                               plan.addGhrp(ghrp->config().historyShift)};
-            }
+            bindings[p] = {StreamBinding::Kind::Ghrp,
+                           plan.addGhrp(ghrp->config().historyShift)};
         } else if (const auto *chirp =
                        dynamic_cast<const ChirpPolicy *>(probe.get())) {
             const ChirpConfig &cfg = chirp->config();
@@ -99,19 +92,6 @@ suiteCallFingerprint(std::uint64_t seq,
     for (const WorkloadConfig &workload : suite)
         fp = hashCombine(fp, RunJournal::jobKey(0, workload, 0));
     return fp;
-}
-
-/**
- * Is the policy-parallel batch replay enabled?  On by default; set
- * CHIRP_POLICY_PARALLEL=0 to force the legacy one-replay-per-policy
- * walk (the CI equality leg diffs the two).  Read per suite call so
- * tests can flip it between runs in one process.
- */
-bool
-policyParallelReplay()
-{
-    const char *value = std::getenv("CHIRP_POLICY_PARALLEL");
-    return !(value != nullptr && value[0] == '0' && value[1] == '\0');
 }
 
 /**
@@ -524,7 +504,7 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
     else if (journal_)
         seq = journal_->nextSuiteSeq();
 
-    const bool distributable = !observer && !forceVirtualDispatch();
+    const bool distributable = !observer;
     if (fabric && fabric->isWorker() && !distributable) {
         // Only the coordinator's CSVs are real; workers answer
         // non-distributable calls with zero-shaped results.
@@ -573,96 +553,8 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
         progress.tick();
     };
 
-    if (forceVirtualDispatch()) {
-        // Legacy path (CHIRP_FORCE_VIRTUAL): full simulation of every
-        // (workload, policy) pair.  The equality tests diff this
-        // against the record/replay fast path below, so it must stay
-        // the reference implementation.
-        std::vector<std::vector<bool>> done(
-            factories.size(), std::vector<bool>(suite.size(), false));
-        std::vector<std::size_t> missing(suite.size(), 0);
-        for (std::size_t w = 0; w < suite.size(); ++w) {
-            for (std::size_t p = 0; p < factories.size(); ++p) {
-                results[p][w].workload = suite[w];
-                if (journal &&
-                    journal->lookup(
-                        RunJournal::jobKey(seq, suite[w], p),
-                        results[p][w].stats)) {
-                    done[p][w] = true;
-                    add_resumed(w, p);
-                } else {
-                    ++missing[w];
-                }
-            }
-        }
-        auto run_job = [&](std::size_t w, std::size_t p) {
-            const GuardOutcome out = runGuarded(
-                resilience_.retries, dog,
-                w * factories.size() + p,
-                suite[w].name + " x " + tag_of(p), [&] {
-                    // The same token the simulator polls also reaches
-                    // any external-trace ingest under store.get.
-                    ScopedIngestCancel ingest_cancel(
-                        dog.token(w * factories.size() + p));
-                    const SharedTrace trace = store.get(suite[w]);
-                    MemoryTraceSource source(trace, suite[w].name);
-                    Simulator sim(config_, factories[p](sets, assoc));
-                    sim.setCancelToken(
-                        dog.token(w * factories.size() + p));
-                    results[p][w] = {suite[w], sim.run(source)};
-                    if (observer)
-                        observer(p, w, sim);
-                });
-            if (out.ok && journal) {
-                journal->record(RunJournal::jobKey(seq, suite[w], p),
-                                results[p][w].stats);
-            }
-            add_outcome(w, p, out);
-        };
-        const std::size_t total = suite.size() * factories.size();
-        if (jobs <= 1 || total <= 1) {
-            for (std::size_t w = 0; w < suite.size(); ++w) {
-                for (std::size_t p = 0; p < factories.size(); ++p) {
-                    if (!done[p][w])
-                        run_job(w, p);
-                }
-                store.drop(suite[w]);
-            }
-        } else {
-            ThreadPool pool(std::min<std::size_t>(jobs, total));
-            // remaining[w] counts policies still to replay workload
-            // w; the job that takes it to zero drops the store's
-            // reference.  Jobs are submitted workload-major, so a
-            // FIFO pool keeps only about ceil(jobs / P) + 1 traces
-            // materialized at once.
-            std::vector<std::atomic<std::size_t>> remaining(
-                suite.size());
-            for (std::size_t w = 0; w < suite.size(); ++w)
-                remaining[w].store(missing[w]);
-            std::vector<std::future<void>> pending;
-            pending.reserve(total);
-            for (std::size_t w = 0; w < suite.size(); ++w) {
-                for (std::size_t p = 0; p < factories.size(); ++p) {
-                    if (done[p][w])
-                        continue;
-                    pending.push_back(pool.submit([&, w, p] {
-                        run_job(w, p);
-                        if (remaining[w].fetch_sub(1) == 1)
-                            store.drop(suite[w]);
-                    }));
-                }
-            }
-            // Jobs never throw (failures land in the ledger), so
-            // get() here is pure synchronization.
-            for (std::future<void> &job : pending)
-                job.get();
-        }
-        ledger.summarize();
-        return results;
-    }
-
-    // Fast path: one full simulation per workload (the recorder, a
-    // throwaway LRU whose results are discarded) captures the L2
+    // One full simulation per workload (the recorder, a throwaway
+    // LRU whose results are discarded) captures the L2
     // event stream, which is policy-independent because the plain-LRU
     // L1 TLBs never consult the L2.  Every requested policy then
     // replays just that stream — a small fraction of the records —
@@ -738,15 +630,15 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
         // one register update per distinct history shape, not one per
         // streamed configuration.
         const ReplayStreams streams = plan.compute(*trace, events);
-        // Policy-parallel batch replay (CHIRP_POLICY_PARALLEL):
-        // evaluate every pending policy's table updates in one pass
-        // over the shared event stream.  The pass is speculative and
-        // unguarded — it consumes no fault-injection job event and no
-        // watchdog slot, so the per-policy jobs below keep the exact
-        // event numbering and failure isolation of the legacy path;
-        // they merely publish precomputed results when the batch
-        // succeeded, and fall back to an individual replayL2 when it
-        // did not (or when a policy's own job must re-simulate).
+        // Policy-parallel batch replay: evaluate every pending
+        // policy's table updates in one pass over the shared event
+        // stream.  The pass is speculative and unguarded — it
+        // consumes no fault-injection job event and no watchdog slot,
+        // so the per-policy jobs below keep the event numbering and
+        // failure isolation of one job per policy; they merely
+        // publish precomputed results when the batch succeeded, and
+        // replay their own policy through replayL2 when it did not
+        // (or when only one policy is pending).
         std::vector<std::size_t> pend;
         for (std::size_t p = 0; p < factories.size(); ++p) {
             if (!done[p][w])
@@ -767,7 +659,7 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
         std::vector<std::unique_ptr<Simulator>> batch_sims;
         std::vector<SimStats> batch_stats;
         bool batch_ok = false;
-        if (policyParallelReplay() && pend.size() > 1) {
+        if (pend.size() > 1) {
             try {
                 std::vector<Simulator *> raw;
                 batch_sims.reserve(pend.size());

@@ -122,8 +122,9 @@ class Runner
   public:
     /**
      * @param jobs worker threads for suite runs: 1 (the default)
-     *        keeps the legacy strictly-serial path, 0 means hardware
-     *        concurrency, N > 1 shards across N workers.
+     *        runs every job on the calling thread, 0 means hardware
+     *        concurrency, N > 1 shards across N workers.  Results are
+     *        bit-identical at every job count.
      */
     explicit Runner(const SimConfig &config, unsigned jobs = 1);
 
@@ -234,8 +235,8 @@ class Runner
      * back to in-process execution for whatever the fabric hands
      * back.  On a worker, suite calls announce themselves and execute
      * granted shards, streaming every job outcome to the coordinator;
-     * non-distributable calls (observer attached, CHIRP_FORCE_VIRTUAL,
-     * single-factory paths) return zero-shaped results immediately —
+     * non-distributable calls (observer attached, single-factory
+     * paths) return zero-shaped results immediately —
      * only the coordinator's CSVs are real.  nullptr detaches.
      */
     void setFabric(std::shared_ptr<dist::SweepFabric> fabric)

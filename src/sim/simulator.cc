@@ -122,49 +122,6 @@ Simulator::checkCancelled() const
     }
 }
 
-Cycles
-Simulator::step(const TraceRecord &rec, std::uint64_t now)
-{
-    Cycles cost = 1;
-
-    // Front end: translate and fetch the instruction itself.
-    AccessInfo ifetch;
-    ifetch.pc = rec.pc;
-    ifetch.vaddr = rec.pc;
-    ifetch.cls = rec.cls;
-    ifetch.isInstr = true;
-    cost += tlbs_->translate(ifetch, activeAsid_, now).stall;
-    if (config_.simulateCaches)
-        cost += caches_.accessInstr(rec.pc);
-
-    if (config_.simulateBranch && isBranch(rec.cls))
-        cost += branch_.onBranch(rec);
-
-    // Back end: data access.
-    if (isMemory(rec.cls)) {
-        AccessInfo data;
-        data.pc = rec.pc;
-        data.vaddr = rec.effAddr;
-        data.cls = rec.cls;
-        data.isInstr = false;
-        cost += tlbs_->translate(data, activeAsid_, now).stall;
-        if (config_.simulateCaches) {
-            cost += caches_.accessData(rec.effAddr,
-                                       rec.cls == InstClass::Store);
-        }
-    }
-
-    // Retirement: the instruction and branch PCs feed the policy
-    // histories (speculative history is not modeled; the paper
-    // likewise trains at commit with right-path branches only,
-    // §VI-E).
-    tlbs_->onInstRetired(rec.pc, rec.cls);
-    if (isBranch(rec.cls))
-        tlbs_->onBranchRetired(rec.pc, rec.cls, rec.taken);
-
-    return cost;
-}
-
 SimStats
 Simulator::run(TraceSource &source)
 {
@@ -187,150 +144,7 @@ Simulator::replayL2(const ColumnarTrace &records,
                     const std::vector<L2Event> &events,
                     const SimStats &base)
 {
-    tlbs_->reset();
-
-    const InstCount total = records.size();
-    const InstCount warmup = static_cast<InstCount>(
-        static_cast<double>(total) * config_.warmupFraction);
-
-    Tlb &l2 = tlbs_->l2();
-    PageWalker &walker = tlbs_->walker();
-    const auto deliver = [&](const L2Event &event) {
-        AccessInfo info;
-        info.pc = event.pc;
-        info.vaddr = event.vaddr;
-        info.cls = event.cls;
-        info.isInstr = event.isInstr != 0;
-        if (!l2.access(info, /*asid=*/1, event.now, event.pageShift))
-            walker.walk(event.vaddr);
-    };
-
-    // Policy-dependent counter values at the warmup boundary (all
-    // zero when the whole run is measured), mirroring runImpl's
-    // snapshot, which is taken just before record `warmup` executes:
-    // events of that record carry now == warmup and land after it.
-    std::uint64_t snapAcc = 0, snapHit = 0, snapMiss = 0;
-    std::uint64_t snapReads = 0, snapWrites = 0;
-    Cycles snapWalk = 0;
-    const auto snapshot = [&] {
-        snapAcc = l2.accesses();
-        snapHit = l2.hits();
-        snapMiss = l2.misses();
-        snapReads = l2.policy().tableReads();
-        snapWrites = l2.policy().tableWrites();
-        snapWalk = walker.totalCycles();
-    };
-
-    // A CHiRP instance fed a precomputed signature stream — or a
-    // GHRP instance fed a precomputed history stream — consumes
-    // nothing from the retire stream: the stream already encodes the
-    // history evolution.
-    bool wants_retire = l2.policy().wantsRetireEvents();
-    if (wants_retire) {
-        if (const auto *streamed =
-                dynamic_cast<const ChirpPolicy *>(&l2.policy());
-            streamed && streamed->hasSignatureStream())
-            wants_retire = false;
-        if (const auto *streamed =
-                dynamic_cast<const GhrpPolicy *>(&l2.policy());
-            streamed && streamed->hasHistoryStream())
-            wants_retire = false;
-    }
-
-    if (wants_retire) {
-        // History-based policy: interleave the event stream with the
-        // retire stream exactly as step() does — every translation of
-        // a record precedes its retire hooks.
-        std::size_t e = 0;
-        for (InstCount i = 0; i < total; ++i) {
-            if ((i & 0xfff) == 0)
-                checkCancelled();
-            if (i == warmup && warmup != 0)
-                snapshot();
-            while (e < events.size() && events[e].now == i)
-                deliver(events[e++]);
-            const Addr pc = records.pc()[i];
-            const InstClass cls = records.cls(i);
-            tlbs_->onInstRetired(pc, cls);
-            if (isBranch(cls))
-                tlbs_->onBranchRetired(pc, cls, records.taken(i));
-        }
-    } else if (traceFormat() != TraceFormat::Legacy) {
-        // Retire-blind policy, batched tier: fixed-size chunks with
-        // the key column precomputed by the simd kernel and the walker
-        // fed from the chunk's miss lanes.  accessBatch is
-        // sequential-equivalent and the walker is latency-accounting
-        // only, so every counter (and the snapshot, which lands on a
-        // chunk boundary by construction) matches the one-at-a-time
-        // reference loop below bit for bit.
-        auto chunk = std::make_unique<EventChunk>();
-        const auto deliverRange = [&](std::size_t lo, std::size_t hi) {
-            while (lo < hi) {
-                const std::size_t n =
-                    std::min<std::size_t>(kReplayBatch, hi - lo);
-                checkCancelled();
-                chunk->gather(events.data() + lo, n, /*asid=*/1);
-                l2.accessBatch(chunk->infos, chunk->keys, chunk->nows,
-                               n, /*asid=*/1, chunk->hits);
-                walkMisses(walker, chunk->hits, chunk->vaddrs, n);
-                lo += n;
-            }
-        };
-        std::size_t e = 0;
-        if (warmup > 0 && warmup < total) {
-            const auto boundary = std::lower_bound(
-                events.begin(), events.end(), warmup,
-                [](const L2Event &event, InstCount limit) {
-                    return event.now < limit;
-                });
-            e = static_cast<std::size_t>(boundary - events.begin());
-            deliverRange(0, e);
-            snapshot();
-        }
-        deliverRange(e, events.size());
-    } else {
-        // Retire-blind policy: only the events themselves matter.
-        std::size_t e = 0;
-        if (warmup > 0 && warmup < total) {
-            const auto boundary = std::lower_bound(
-                events.begin(), events.end(), warmup,
-                [](const L2Event &event, InstCount limit) {
-                    return event.now < limit;
-                });
-            const auto warm =
-                static_cast<std::size_t>(boundary - events.begin());
-            for (; e < warm; ++e) {
-                if ((e & 0xfff) == 0)
-                    checkCancelled();
-                deliver(events[e]);
-            }
-            snapshot();
-        }
-        for (; e < events.size(); ++e) {
-            if ((e & 0xfff) == 0)
-                checkCancelled();
-            deliver(events[e]);
-        }
-    }
-
-    tlbs_->finalizeEfficiency(total);
-
-    SimStats stats = base;
-    stats.l2TlbAccesses = l2.accesses() - snapAcc;
-    stats.l2TlbHits = l2.hits() - snapHit;
-    stats.l2TlbMisses = l2.misses() - snapMiss;
-    stats.tableReads = l2.policy().tableReads() - snapReads;
-    stats.tableWrites = l2.policy().tableWrites() - snapWrites;
-    stats.walkCycles = walker.totalCycles() - snapWalk;
-    // Every record costs the same under every policy except for the
-    // L2-dependent stalls: hitLatency per L2 access plus the page
-    // walks.  Swap the recording run's contribution for this one's.
-    const Cycles hitLat = config_.tlbs.l2.hitLatency;
-    stats.cycles = base.cycles - hitLat * base.l2TlbAccesses -
-                   base.walkCycles + hitLat * stats.l2TlbAccesses +
-                   stats.walkCycles;
-    stats.l2Efficiency = l2.efficiency().efficiency();
-    return stats;
+    return replayL2Multi({this}, records, events, base).front();
 }
 
 std::vector<SimStats>
@@ -339,10 +153,6 @@ Simulator::replayL2Multi(const std::vector<Simulator *> &sims,
                          const std::vector<L2Event> &events,
                          const SimStats &base)
 {
-    // Must mirror replayL2 exactly: same per-simulator event/retire
-    // interleaving, same warmup-snapshot boundaries, same statistics
-    // assembly.  replayL2 stays the (tested) reference; the equality
-    // tests diff this batch path against it.
     std::vector<SimStats> out(sims.size(), base);
     if (sims.empty())
         return out;
@@ -357,14 +167,16 @@ Simulator::replayL2Multi(const std::vector<Simulator *> &sims,
         Tlb *l2 = nullptr;
         PageWalker *walker = nullptr;
         InstCount warmup = 0;
-        bool wantsRetire = false;
         bool snapped = false;
         std::uint64_t snapAcc = 0, snapHit = 0, snapMiss = 0;
         std::uint64_t snapReads = 0, snapWrites = 0;
         Cycles snapWalk = 0;
     };
     std::vector<Lane> lanes(sims.size());
-    bool any_retire = false;
+    // Retire-blind lanes replay the (much shorter) event stream in
+    // chunks; only lanes consuming retire events pay the per-record
+    // walk.
+    std::vector<Lane *> blind, walkers;
     for (std::size_t s = 0; s < sims.size(); ++s) {
         if (!sims[s])
             chirp_fatal("replayL2Multi: null simulator");
@@ -376,9 +188,10 @@ Simulator::replayL2Multi(const std::vector<Simulator *> &sims,
         lane.walker = &sim.tlbs_->walker();
         lane.warmup = static_cast<InstCount>(
             static_cast<double>(total) * sim.config_.warmupFraction);
-        // As in replayL2: a CHiRP instance fed a precomputed
-        // signature stream (or a GHRP instance fed a precomputed
-        // history stream) consumes nothing from the retire stream.
+        // A CHiRP instance fed a precomputed signature stream — or a
+        // GHRP instance fed a precomputed history stream — consumes
+        // nothing from the retire stream: the stream already encodes
+        // the history evolution.
         bool wants = lane.l2->policy().wantsRetireEvents();
         if (wants) {
             if (const auto *streamed = dynamic_cast<const ChirpPolicy *>(
@@ -390,16 +203,17 @@ Simulator::replayL2Multi(const std::vector<Simulator *> &sims,
                 streamed && streamed->hasHistoryStream())
                 wants = false;
         }
-        lane.wantsRetire = wants;
-        any_retire |= wants;
+        (wants ? walkers : blind).push_back(&lane);
     }
 
-    const auto deliver = [](Lane &lane, const AccessInfo &info,
-                            const L2Event &event) {
-        if (!lane.l2->access(info, /*asid=*/1, event.now,
-                             event.pageShift))
-            lane.walker->walk(event.vaddr);
+    const auto checkCancelled = [&] {
+        for (const Simulator *sim : sims)
+            sim->checkCancelled();
     };
+    // Policy-dependent counter values at the warmup boundary (all zero
+    // when the whole run is measured), mirroring runImpl's snapshot,
+    // which is taken just before record `warmup` executes: events of
+    // that record carry now == warmup and land after it.
     const auto snapshot = [](Lane &lane) {
         lane.snapAcc = lane.l2->accesses();
         lane.snapHit = lane.l2->hits();
@@ -409,64 +223,23 @@ Simulator::replayL2Multi(const std::vector<Simulator *> &sims,
         lane.snapWalk = lane.walker->totalCycles();
         lane.snapped = true;
     };
-    const auto info_of = [](const L2Event &event) {
-        AccessInfo info;
-        info.pc = event.pc;
-        info.vaddr = event.vaddr;
-        info.cls = event.cls;
-        info.isInstr = event.isInstr != 0;
-        return info;
-    };
 
-    // The record walk: interleave each record's L2 events before its
-    // retire hooks exactly as step() (and replayL2) does.  Driven for
-    // every lane on the legacy tier, and for only the retire-consuming
-    // lanes on the batched tier (retire-blind lanes take the chunked
-    // event path instead; their snapshots land at the same counter
-    // values — all events of instructions before the boundary, none
-    // at or after it).
-    const auto recordWalk = [&](const std::vector<Lane *> &walkers) {
-        std::size_t e = 0;
-        for (InstCount i = 0; i < total; ++i) {
-            for (Lane *lane : walkers) {
-                if (!lane->snapped && i == lane->warmup &&
-                    lane->warmup != 0)
-                    snapshot(*lane);
-            }
-            while (e < events.size() && events[e].now == i) {
-                const AccessInfo info = info_of(events[e]);
-                for (Lane *lane : walkers)
-                    deliver(*lane, info, events[e]);
-                ++e;
-            }
-            const Addr pc = records.pc()[i];
-            const InstClass cls = records.cls(i);
-            const bool branch = isBranch(cls);
-            for (Lane *lane : walkers) {
-                if (!lane->wantsRetire)
-                    continue;
-                lane->tlbs->onInstRetired(pc, cls);
-                if (branch)
-                    lane->tlbs->onBranchRetired(pc, cls,
-                                                records.taken(i));
-            }
-        }
-    };
-
-    const bool legacy = traceFormat() == TraceFormat::Legacy;
-    if (!legacy && any_retire) {
-        // Batched tier with at least one history policy in the batch:
-        // split the lanes.  Only the retire-consuming lanes pay the
-        // per-record walk; retire-blind lanes replay the (much
-        // shorter) event stream through the chunked path below.
-        std::vector<Lane *> blind, walkers;
-        for (Lane &lane : lanes)
-            (lane.wantsRetire ? walkers : blind).push_back(&lane);
+    if (!blind.empty()) {
+        // Gather each event chunk's columns once (shared by all blind
+        // lanes, key column precomputed by the simd kernel), then run
+        // each lane's accesses through the batch entry and feed its
+        // walker from the chunk's miss lanes.  accessBatch is
+        // sequential-equivalent and the walker is latency-accounting
+        // only, so every counter matches one access at a time.  A
+        // lane whose warmup boundary falls inside the chunk splits its
+        // batch there, so the snapshot sees exactly the pre-boundary
+        // counters.
         auto chunk = std::make_unique<EventChunk>();
         for (std::size_t lo = 0; lo < events.size();
              lo += kReplayBatch) {
-            const std::size_t n = std::min<std::size_t>(
-                kReplayBatch, events.size() - lo);
+            const std::size_t n =
+                std::min<std::size_t>(kReplayBatch, events.size() - lo);
+            checkCancelled();
             chunk->gather(events.data() + lo, n, /*asid=*/1);
             for (Lane *plane : blind) {
                 Lane &lane = *plane;
@@ -474,10 +247,10 @@ Simulator::replayL2Multi(const std::vector<Simulator *> &sims,
                                              std::size_t b) {
                     if (a >= b)
                         return;
-                    lane.l2->accessBatch(
-                        chunk->infos + a, chunk->keys + a,
-                        chunk->nows + a, b - a, /*asid=*/1,
-                        chunk->hits + a);
+                    lane.l2->accessBatch(chunk->infos + a,
+                                         chunk->keys + a,
+                                         chunk->nows + a, b - a,
+                                         /*asid=*/1, chunk->hits + a);
                     walkMisses(*lane.walker, chunk->hits + a,
                                chunk->vaddrs + a, b - a);
                 };
@@ -486,8 +259,7 @@ Simulator::replayL2Multi(const std::vector<Simulator *> &sims,
                     lane.warmup < total &&
                     events[lo + n - 1].now >= lane.warmup) {
                     cut = 0;
-                    while (cut < n &&
-                           events[lo + cut].now < lane.warmup)
+                    while (cut < n && events[lo + cut].now < lane.warmup)
                         ++cut;
                 }
                 if (cut < n) {
@@ -499,83 +271,47 @@ Simulator::replayL2Multi(const std::vector<Simulator *> &sims,
                 }
             }
         }
+        // A boundary beyond the last event snapshots after every
+        // pre-boundary event was delivered.
         for (Lane *lane : blind) {
-            if (!lane->snapped && lane->warmup > 0 &&
-                lane->warmup < total)
+            if (!lane->snapped && lane->warmup > 0 && lane->warmup < total)
                 snapshot(*lane);
         }
-        recordWalk(walkers);
-    } else if (any_retire) {
-        std::vector<Lane *> all;
-        all.reserve(lanes.size());
-        for (Lane &lane : lanes)
-            all.push_back(&lane);
-        recordWalk(all);
-    } else if (!legacy) {
-        // Every policy is retire-blind, batched tier: gather each
-        // event chunk's columns once (shared by all lanes), then run
-        // each lane's accesses through the batch entry.  A lane whose
-        // warmup boundary falls inside the chunk splits its batch at
-        // the boundary so the snapshot sees exactly the pre-boundary
-        // counters, as in the per-event reference loop below.
-        auto chunk = std::make_unique<EventChunk>();
-        for (std::size_t lo = 0; lo < events.size();
-             lo += kReplayBatch) {
-            const std::size_t n = std::min<std::size_t>(
-                kReplayBatch, events.size() - lo);
-            chunk->gather(events.data() + lo, n, /*asid=*/1);
-            for (Lane &lane : lanes) {
-                const auto deliverPart = [&](std::size_t a,
-                                             std::size_t b) {
-                    if (a >= b)
-                        return;
-                    lane.l2->accessBatch(
-                        chunk->infos + a, chunk->keys + a,
-                        chunk->nows + a, b - a, /*asid=*/1,
-                        chunk->hits + a);
-                    walkMisses(*lane.walker, chunk->hits + a,
-                               chunk->vaddrs + a, b - a);
-                };
-                std::size_t cut = n;
-                if (!lane.snapped && lane.warmup > 0 &&
-                    lane.warmup < total &&
-                    events[lo + n - 1].now >= lane.warmup) {
-                    cut = 0;
-                    while (cut < n &&
-                           events[lo + cut].now < lane.warmup)
-                        ++cut;
-                }
-                if (cut < n) {
-                    deliverPart(0, cut);
-                    snapshot(lane);
-                    deliverPart(cut, n);
-                } else {
-                    deliverPart(0, n);
+    }
+
+    if (!walkers.empty()) {
+        // The record walk: every translation of a record precedes its
+        // retire hooks, as in the full pipeline.
+        std::size_t e = 0;
+        for (InstCount i = 0; i < total; ++i) {
+            if ((i & 0xfff) == 0)
+                checkCancelled();
+            for (Lane *lane : walkers) {
+                if (i == lane->warmup && lane->warmup != 0)
+                    snapshot(*lane);
+            }
+            for (; e < events.size() && events[e].now == i; ++e) {
+                const L2Event &event = events[e];
+                AccessInfo info;
+                info.pc = event.pc;
+                info.vaddr = event.vaddr;
+                info.cls = event.cls;
+                info.isInstr = event.isInstr != 0;
+                for (Lane *lane : walkers) {
+                    if (!lane->l2->access(info, /*asid=*/1, event.now,
+                                          event.pageShift))
+                        lane->walker->walk(event.vaddr);
                 }
             }
-        }
-        for (Lane &lane : lanes) {
-            if (!lane.snapped && lane.warmup > 0 && lane.warmup < total)
-                snapshot(lane);
-        }
-    } else {
-        // Every policy is retire-blind: only the events themselves
-        // matter.  Snapshot each lane when its boundary passes; a
-        // lane whose boundary lies beyond the last event snapshots
-        // after the loop (matching replayL2, which snapshots after
-        // delivering every pre-boundary event).
-        for (const L2Event &event : events) {
-            const AccessInfo info = info_of(event);
-            for (Lane &lane : lanes) {
-                if (!lane.snapped && lane.warmup > 0 &&
-                    lane.warmup < total && event.now >= lane.warmup)
-                    snapshot(lane);
-                deliver(lane, info, event);
+            const Addr pc = records.pc()[i];
+            const InstClass cls = records.cls(i);
+            const bool branch = isBranch(cls);
+            for (Lane *lane : walkers) {
+                lane->tlbs->onInstRetired(pc, cls);
+                if (branch)
+                    lane->tlbs->onBranchRetired(pc, cls,
+                                                records.taken(i));
             }
-        }
-        for (Lane &lane : lanes) {
-            if (!lane.snapped && lane.warmup > 0 && lane.warmup < total)
-                snapshot(lane);
         }
     }
 
@@ -591,6 +327,10 @@ Simulator::replayL2Multi(const std::vector<Simulator *> &sims,
         stats.tableWrites =
             lane.l2->policy().tableWrites() - lane.snapWrites;
         stats.walkCycles = lane.walker->totalCycles() - lane.snapWalk;
+        // Every record costs the same under every policy except for
+        // the L2-dependent stalls: hitLatency per L2 access plus the
+        // page walks.  Swap the recording run's contribution for this
+        // one's.
         const Cycles hitLat = sims[s]->config_.tlbs.l2.hitLatency;
         stats.cycles = base.cycles - hitLat * base.l2TlbAccesses -
                        base.walkCycles + hitLat * stats.l2TlbAccesses +
@@ -664,20 +404,14 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
     // is identical to the old one-record pull.
     TraceRecord batch[kReplayBatch];
 
-    // Batched tier: each chunk runs an L1-TLB pre-pass (both L1 TLBs
-    // are plain LRU and evolve independently of everything below
-    // them, so their lookups batch safely), then assembles costs per
-    // record in original order, descending to the shared L2/walker
-    // and caches only where the pre-pass recorded a miss.  Chunks are
-    // split at the warmup boundary so the snapshot below observes
-    // exactly the pre-boundary counters.  CHIRP_TRACE_FORMAT=legacy
-    // keeps the one-record-at-a-time step() reference loop.
-    const bool batched = traceFormat() != TraceFormat::Legacy;
-    auto scratch = batched ? std::make_unique<StepChunk>() : nullptr;
-    // Same-page i-run compression needs the L1i's repeat hits to be
-    // provable policy no-ops; that holds only for the devirtualized
-    // plain-LRU dispatch (CHIRP_FORCE_VIRTUAL clears it).
-    const bool irun = batched && tlbs_->l1i().hasLruMemo();
+    // Each chunk runs an L1-TLB pre-pass (both L1 TLBs are plain LRU
+    // and evolve independently of everything below them, so their
+    // lookups batch safely), then assembles costs per record in
+    // original order, descending to the shared L2/walker and caches
+    // only where the pre-pass recorded a miss.  Chunks are split at
+    // the warmup boundary so the snapshot below observes exactly the
+    // pre-boundary counters.
+    auto scratch = std::make_unique<StepChunk>();
     const auto runChunk = [&](const Addr *pc, const Addr *ea,
                               const Addr *tg, const std::uint8_t *meta,
                               std::size_t m,
@@ -687,60 +421,39 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
         // fetch makes the i-stream long runs of same-page addresses;
         // with the plain-LRU L1i every post-first access of a run is
         // a provable repeat hit, so each run lowers to one
-        // accessRun() probe plus bulk accounting.  The forced-virtual
-        // reference build (and any non-LRU L1) keeps the per-record
-        // batch, which the dispatch-equality tests compare against.
-        if (irun) {
-            std::size_t nr = 0;
-            for (std::size_t j = 0; j < m;) {
-                const Addr page = pc[j] >> kPageShift;
-                std::size_t k = j + 1;
-                while (k < m && (pc[k] >> kPageShift) == page)
-                    ++k;
-                AccessInfo &info = c.iinfos[nr];
-                info.pc = pc[j];
-                info.vaddr = pc[j];
-                info.cls = static_cast<InstClass>(
-                    meta[j] & ColumnarTrace::kClsMask);
-                info.isInstr = true;
-                c.ivaddrs[nr] = pc[j];
-                c.inows[nr] = base_now + j;
-                c.ishifts[nr] = static_cast<std::uint8_t>(
-                    tlbs_->pageShiftFor(pc[j]));
-                c.irunStart[nr] = static_cast<std::uint16_t>(j);
-                ++nr;
-                j = k;
-            }
-            Tlb::keysOf(c.ivaddrs, c.ishifts, nr, activeAsid_, c.ikeys);
-            Tlb &l1i = tlbs_->l1i();
-            for (std::size_t r = 0; r < nr; ++r) {
-                const std::size_t start = c.irunStart[r];
-                const std::size_t len =
-                    (r + 1 < nr ? c.irunStart[r + 1] : m) - start;
-                c.ihits[start] = l1i.accessRun(c.iinfos[r], c.ikeys[r],
-                                               activeAsid_, c.inows[r],
-                                               len)
-                                     ? 1
-                                     : 0;
-                // Post-first accesses of a run always hit.
-                std::memset(c.ihits + start + 1, 1, len - 1);
-            }
-        } else {
-            for (std::size_t j = 0; j < m; ++j) {
-                AccessInfo &info = c.iinfos[j];
-                info.pc = pc[j];
-                info.vaddr = pc[j];
-                info.cls = static_cast<InstClass>(
-                    meta[j] & ColumnarTrace::kClsMask);
-                info.isInstr = true;
-                c.ivaddrs[j] = pc[j];
-                c.inows[j] = base_now + j;
-                c.ishifts[j] = static_cast<std::uint8_t>(
-                    tlbs_->pageShiftFor(pc[j]));
-            }
-            Tlb::keysOf(c.ivaddrs, c.ishifts, m, activeAsid_, c.ikeys);
-            tlbs_->l1i().accessBatch(c.iinfos, c.ikeys, c.inows, m,
-                                     activeAsid_, c.ihits);
+        // accessRun() probe plus bulk accounting.
+        std::size_t nr = 0;
+        for (std::size_t j = 0; j < m;) {
+            const Addr page = pc[j] >> kPageShift;
+            std::size_t k = j + 1;
+            while (k < m && (pc[k] >> kPageShift) == page)
+                ++k;
+            AccessInfo &info = c.iinfos[nr];
+            info.pc = pc[j];
+            info.vaddr = pc[j];
+            info.cls = static_cast<InstClass>(
+                meta[j] & ColumnarTrace::kClsMask);
+            info.isInstr = true;
+            c.ivaddrs[nr] = pc[j];
+            c.inows[nr] = base_now + j;
+            c.ishifts[nr] = static_cast<std::uint8_t>(
+                tlbs_->pageShiftFor(pc[j]));
+            c.irunStart[nr] = static_cast<std::uint16_t>(j);
+            ++nr;
+            j = k;
+        }
+        Tlb::keysOf(c.ivaddrs, c.ishifts, nr, activeAsid_, c.ikeys);
+        Tlb &l1i = tlbs_->l1i();
+        for (std::size_t r = 0; r < nr; ++r) {
+            const std::size_t start = c.irunStart[r];
+            const std::size_t len =
+                (r + 1 < nr ? c.irunStart[r + 1] : m) - start;
+            c.ihits[start] = l1i.accessRun(c.iinfos[r], c.ikeys[r],
+                                           activeAsid_, c.inows[r], len)
+                                 ? 1
+                                 : 0;
+            // Post-first accesses of a run always hit.
+            std::memset(c.ihits + start + 1, 1, len - 1);
         }
         // Pass B: d-side L1 lookups for the chunk's memory records.
         std::size_t nd = 0;
@@ -765,7 +478,9 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
                                  activeAsid_, c.dhits);
         // Pass C: per-record cost assembly in original order; the
         // shared structures below the L1s (L2 TLB, walker, caches,
-        // branch unit, retire hooks) see the exact step() sequence.
+        // branch unit, retire hooks) see each record's i-side
+        // translation, i-fetch, branch, d-side translation, d-access
+        // and retire hooks in exactly that order.
         Cycles cost = 0;
         std::size_t d = 0;
         for (std::size_t j = 0; j < m; ++j) {
@@ -816,14 +531,14 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
         return cost;
     };
 
-    // Zero-copy fast path: a single memory-backed source replayed in
-    // batched mode is driven straight off the shared trace's columns
+    // Zero-copy fast path: a single memory-backed source is driven
+    // straight off the shared trace's columns
     // — no per-chunk gather into row-major records and no transpose
     // back into column scratch.  Context-switch scheduling never
     // applies to a single source, so only the warmup clamp and the
     // cancellation poll survive from the generic loop.
     MemoryTraceSource *mem =
-        (batched && sources.size() == 1)
+        sources.size() == 1
             ? dynamic_cast<MemoryTraceSource *>(sources[0])
             : nullptr;
     if (mem) {
@@ -891,22 +606,15 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
             std::size_t m = got - done;
             if (!snapped && retired + m > warmup)
                 m = static_cast<std::size_t>(warmup - retired);
-            if (batched) {
-                StepChunk &c = *scratch;
-                for (std::size_t j = 0; j < m; ++j) {
-                    const TraceRecord &rec = batch[done + j];
-                    c.pcs[j] = rec.pc;
-                    c.eas[j] = rec.effAddr;
-                    c.tgs[j] = rec.target;
-                    c.metas[j] =
-                        ColumnarTrace::packMeta(rec.cls, rec.taken);
-                }
-                cycles += runChunk(c.pcs, c.eas, c.tgs, c.metas, m,
-                                   retired);
-            } else {
-                for (std::size_t i = 0; i < m; ++i)
-                    cycles += step(batch[done + i], retired + i);
+            StepChunk &c = *scratch;
+            for (std::size_t j = 0; j < m; ++j) {
+                const TraceRecord &rec = batch[done + j];
+                c.pcs[j] = rec.pc;
+                c.eas[j] = rec.effAddr;
+                c.tgs[j] = rec.target;
+                c.metas[j] = ColumnarTrace::packMeta(rec.cls, rec.taken);
             }
+            cycles += runChunk(c.pcs, c.eas, c.tgs, c.metas, m, retired);
             retired += m;
             done += m;
         }

@@ -88,7 +88,8 @@ class Simulator
      * policy-independent statistic is taken from @p base and the
      * cycle count is reassembled from its policy-independent part
      * plus this policy's L2 stalls.  The result is bit-identical to
-     * run() over @p records with the same policy.
+     * run() over @p records with the same policy.  A one-lane
+     * replayL2Multi().
      */
     SimStats replayL2(const ColumnarTrace &records,
                       const std::vector<L2Event> &events,
@@ -99,13 +100,15 @@ class Simulator
      * updates in ONE pass over the shared L2 event stream (and, for
      * history-fed policies, the retire stream), instead of one walk
      * per policy.  Each simulator in @p sims is reset and driven with
-     * exactly the event/retire interleaving replayL2 would give it,
-     * so per-simulator results are bit-identical to calling
-     * sims[i]->replayL2(records, events, base) one by one; the win is
-     * that the record walk — the bulk of a replay's memory traffic —
-     * is amortized over all policies.  Simulators may differ in
-     * policy and warmup fraction; retire-blind lanes simply skip the
-     * retire hooks.  Throws only on misuse (empty @p sims entries).
+     * the event/retire interleaving of a full run, so its result is
+     * bit-identical to run() with its policy; the win is that the
+     * event gather and the record walk are amortized over all
+     * policies.  Simulators may differ in policy and warmup fraction.
+     * Retire-blind lanes replay the event stream in chunks through
+     * Tlb::accessBatch; the per-record walk runs only when some lane
+     * consumes retire events.  Polls every simulator's cancel token.
+     * Throws JobCancelled when one fires, and is fatal on misuse
+     * (null @p sims entries).
      */
     static std::vector<SimStats>
     replayL2Multi(const std::vector<Simulator *> &sims,
@@ -134,9 +137,6 @@ class Simulator
     }
 
   private:
-    /** Simulate one instruction; returns its cycle cost. */
-    Cycles step(const TraceRecord &rec, std::uint64_t now);
-
     /** Throw JobCancelled when the attached token has fired. */
     void checkCancelled() const;
 

@@ -1,6 +1,5 @@
 #include "tlb/tlb.hh"
 
-#include <cstdlib>
 #include <cstring>
 #include <type_traits>
 #include <typeinfo>
@@ -16,25 +15,55 @@
 namespace chirp
 {
 
-bool
-forceVirtualDispatch()
+namespace
 {
-    // Read fresh each call (construction-time only): the equality
-    // tests setenv/unsetenv between simulator builds in one process.
-    const char *value = std::getenv("CHIRP_FORCE_VIRTUAL");
-    return value != nullptr && value[0] != '\0' &&
-           !(value[0] == '0' && value[1] == '\0');
+
+/** Index of @p T in a policy list (the list size when absent). */
+template <typename T, typename... Policies>
+constexpr std::uint8_t
+indexOf(PolicyList<Policies...>)
+{
+    std::uint8_t index = 0;
+    // Stops at the first match; every mismatch advances the index.
+    (void)((std::is_same_v<T, Policies> || (++index, false)) || ...);
+    return index;
 }
 
-bool
-batchMissPath()
+/** Index of @p policy's exact dynamic type in a policy list. */
+template <typename... Policies>
+std::uint8_t
+dispatchIndex(const ReplacementPolicy &policy, PolicyList<Policies...>)
 {
-    // Enabled unless CHIRP_BATCH_MISS=0.  Read fresh each call
-    // (construction-time only), like forceVirtualDispatch().
-    const char *value = std::getenv("CHIRP_BATCH_MISS");
-    return value == nullptr || value[0] == '\0' ||
-           !(value[0] == '0' && value[1] == '\0');
+    std::uint8_t index = 0;
+    (void)((typeid(policy) == typeid(Policies) || (++index, false)) ||
+           ...);
+    return index;
 }
+
+/** Past the end of the list: the Generic virtual-dispatch arm. */
+template <typename F>
+decltype(auto)
+visitDispatch(std::uint8_t, ReplacementPolicy *policy, F &f, PolicyList<>)
+{
+    return f(policy);
+}
+
+/** Call @p f with @p policy cast to the list entry @p index names. */
+template <typename F, typename First, typename... Rest>
+decltype(auto)
+visitDispatch(std::uint8_t index, ReplacementPolicy *policy, F &f,
+              PolicyList<First, Rest...>)
+{
+    if (index == 0)
+        return f(static_cast<First *>(policy));
+    return visitDispatch(static_cast<std::uint8_t>(index - 1), policy, f,
+                         PolicyList<Rest...>{});
+}
+
+constexpr std::uint8_t kLruDispatch =
+    indexOf<LruPolicy>(DevirtualizedPolicies{});
+
+} // namespace
 
 Tlb::Tlb(const TlbConfig &config,
          std::unique_ptr<ReplacementPolicy> policy)
@@ -55,23 +84,17 @@ Tlb::Tlb(const TlbConfig &config,
                     " does not match TLB geometry ", array_.numSets(), "x",
                     array_.assoc());
     }
-    batchMiss_ = batchMissPath();
-    // Exact-type checks (the devirtualized instantiations assume the
-    // dynamic type, and all four classes are final so no subclass can
-    // slip through them anyway).
-    if (!forceVirtualDispatch()) {
-        const auto &id = typeid(*policy_);
-        if (id == typeid(LruPolicy))
-            kind_ = PolicyKind::Lru;
-        else if (id == typeid(ChirpPolicy))
-            kind_ = PolicyKind::Chirp;
-        else if (id == typeid(ShipPolicy))
-            kind_ = PolicyKind::Ship;
-        else if (id == typeid(GhrpPolicy))
-            kind_ = PolicyKind::Ghrp;
-        else if (id == typeid(SrripPolicy))
-            kind_ = PolicyKind::Srrip;
-    }
+    // Exact-type match: the devirtualized instantiations assume the
+    // dynamic type.
+    dispatch_ = dispatchIndex(*policy_, DevirtualizedPolicies{});
+}
+
+template <typename F>
+decltype(auto)
+Tlb::withPolicy(F &&f)
+{
+    return visitDispatch(dispatch_, policy_.get(), f,
+                         DevirtualizedPolicies{});
 }
 
 /** Per-event statistics sink writing the TLB's members directly. */
@@ -127,7 +150,7 @@ struct Tlb::DeferredAcct
  * generic virtual-dispatch path.  The event order is identical in
  * every instantiation: onAccessBegin -> onHit|({selectVictim} ->
  * onFill) -> onAccessEnd.  Statistics go through @p acct so the
- * scalar path updates members per event while the batched miss path
+ * single-access path updates members per event while the batched path
  * defers a whole chunk into locals.
  */
 template <typename Policy, typename Acct>
@@ -190,32 +213,18 @@ bool
 Tlb::accessSlow(const AccessInfo &info, Asid asid, std::uint64_t now,
                 Addr key)
 {
-    switch (kind_) {
-      case PolicyKind::Lru:
-        return accessSlowImpl(static_cast<LruPolicy *>(policy_.get()),
-                              info, asid, now, key);
-      case PolicyKind::Chirp:
-        return accessSlowImpl(static_cast<ChirpPolicy *>(policy_.get()),
-                              info, asid, now, key);
-      case PolicyKind::Ship:
-        return accessSlowImpl(static_cast<ShipPolicy *>(policy_.get()),
-                              info, asid, now, key);
-      case PolicyKind::Ghrp:
-        return accessSlowImpl(static_cast<GhrpPolicy *>(policy_.get()),
-                              info, asid, now, key);
-      case PolicyKind::Srrip:
-        return accessSlowImpl(static_cast<SrripPolicy *>(policy_.get()),
-                              info, asid, now, key);
-      case PolicyKind::Generic:
-        break;
-    }
-    return accessSlowImpl(policy_.get(), info, asid, now, key);
+    return withPolicy([&](auto *policy) {
+        return accessSlowImpl(policy, info, asid, now, key);
+    });
 }
 
 bool
 Tlb::accessRun(const AccessInfo &info, Addr key, Asid asid,
                std::uint64_t now, std::size_t n)
 {
+    if (dispatch_ != kLruDispatch)
+        chirp_panic("tlb '", config_.name,
+                    "': accessRun needs the plain-LRU dispatch");
     ++accesses_;
     bool first;
     if (hotWay_ >= 0 && key == hotKey_) {
@@ -258,9 +267,6 @@ Tlb::accessRun(const AccessInfo &info, Addr key, Asid asid,
  * hit/miss/eviction/efficiency accounting deferred into chunk-local
  * sums flushed once at the boundary.
  *
- * CHIRP_BATCH_MISS=0 keeps the original scalar reference loop, which
- * the equality CI legs diff the batched path against.
- *
  * Unwind contract (chunk faults armed): if the injected chunk fault
  * throws after i full accesses, the flushed counters and all
  * TLB/policy state equal exactly i sequential access() calls, and
@@ -275,29 +281,6 @@ Tlb::accessBatchImpl(Policy *policy, const AccessInfo *infos,
                      std::size_t n, Asid asid, std::uint8_t *hits)
 {
     constexpr std::size_t kPrefetchAhead = 8;
-    if (!batchMiss_) {
-        // Scalar reference loop: one slow-path call per access with
-        // per-event counter updates.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i + kPrefetchAhead < n)
-                array_.prefetchSet(
-                    array_.setIndex(keys[i + kPrefetchAhead]));
-            ++accesses_;
-            const Addr key = keys[i];
-            if (hotWay_ >= 0 && key == hotKey_) {
-                ++hits_;
-                array_.dataAt(hotSet_, hotWay_).lastHitTime = nows[i];
-                hits[i] = 1;
-                continue;
-            }
-            hits[i] =
-                accessSlowImpl(policy, infos[i], asid, nows[i], key)
-                    ? 1
-                    : 0;
-        }
-        return;
-    }
-
     policy->beginAccessBatch(infos, n);
     DeferredAcct acct;
     if (!FaultInjector::chunkFaultsArmed()) {
@@ -382,26 +365,9 @@ Tlb::accessBatch(const AccessInfo *infos, const Addr *keys,
                  const std::uint64_t *nows, std::size_t n, Asid asid,
                  std::uint8_t *hits)
 {
-    switch (kind_) {
-      case PolicyKind::Lru:
-        return accessBatchImpl(static_cast<LruPolicy *>(policy_.get()),
-                               infos, keys, nows, n, asid, hits);
-      case PolicyKind::Chirp:
-        return accessBatchImpl(static_cast<ChirpPolicy *>(policy_.get()),
-                               infos, keys, nows, n, asid, hits);
-      case PolicyKind::Ship:
-        return accessBatchImpl(static_cast<ShipPolicy *>(policy_.get()),
-                               infos, keys, nows, n, asid, hits);
-      case PolicyKind::Ghrp:
-        return accessBatchImpl(static_cast<GhrpPolicy *>(policy_.get()),
-                               infos, keys, nows, n, asid, hits);
-      case PolicyKind::Srrip:
-        return accessBatchImpl(static_cast<SrripPolicy *>(policy_.get()),
-                               infos, keys, nows, n, asid, hits);
-      case PolicyKind::Generic:
-        break;
-    }
-    accessBatchImpl(policy_.get(), infos, keys, nows, n, asid, hits);
+    withPolicy([&](auto *policy) {
+        accessBatchImpl(policy, infos, keys, nows, n, asid, hits);
+    });
 }
 
 void

@@ -10,6 +10,7 @@
 #ifndef CHIRP_TLB_TLB_HH
 #define CHIRP_TLB_TLB_HH
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -22,22 +23,40 @@
 namespace chirp
 {
 
-/**
- * Is generic virtual policy dispatch forced via the
- * CHIRP_FORCE_VIRTUAL environment variable?  Read at construction
- * time by Tlb and TlbHierarchy; the equality tests flip it to prove
- * the devirtualized event sequences are state-identical to the
- * virtual ones.  Set (non-empty, not "0") means forced.
- */
-bool forceVirtualDispatch();
+class ChirpPolicy;
+class GhrpPolicy;
+class LruPolicy;
+class ShipPolicy;
+class SrripPolicy;
+
+/** A compile-time list of policy classes. */
+template <typename... Policies>
+struct PolicyList
+{
+    static constexpr std::size_t size = sizeof...(Policies);
+};
 
 /**
- * Is the batched miss path enabled (the default)?  CHIRP_BATCH_MISS=0
- * in the environment disables it, making accessBatch() run the scalar
- * one-access-at-a-time reference loop — the opt-out the equality CI
- * legs diff against.  Read at construction time by Tlb.
+ * The policy classes Tlb devirtualizes, declared once.  A policy whose
+ * dynamic type is exactly one of these (all are final and keep their
+ * hot hooks in their headers) runs access loops instantiated for that
+ * class, so every hook call inlines.  Any other type — Random, the
+ * extra policies, a user-defined policy — runs the Generic
+ * instantiation over plain virtual dispatch.
  */
-bool batchMissPath();
+using DevirtualizedPolicies = PolicyList<LruPolicy, ChirpPolicy,
+                                         ShipPolicy, GhrpPolicy,
+                                         SrripPolicy>;
+
+/**
+ * Kept so tooling that reports the miss path keeps building: the
+ * batched miss path is the only one, so this is always true.
+ */
+constexpr bool
+batchMissPath()
+{
+    return true;
+}
 
 /** Geometry and latency of one TLB level. */
 struct TlbConfig
@@ -105,34 +124,15 @@ class Tlb
      * Perform @p n consecutive accesses to the same page — @p key
      * precomputed, times now, now+1, ..., now+n-1 — with exactly the
      * state evolution and counters of n sequential access() calls.
-     * Only valid when hasLruMemo() is true (devirtualized plain-LRU
-     * dispatch): there every post-first access is a provable repeat
-     * hit whose policy calls are no-ops (see the memo comment below),
-     * so the n-1 repeats collapse to bulk counter and timestamp
-     * updates.
+     * Under the devirtualized plain-LRU dispatch every post-first
+     * access is a provable repeat hit whose policy calls are no-ops
+     * (see the memo comment below), so the n-1 repeats collapse to
+     * bulk counter and timestamp updates; any other policy takes the
+     * n accesses one by one.
      * @return the first access's hit result.
      */
     bool accessRun(const AccessInfo &info, Addr key, Asid asid,
                    std::uint64_t now, std::size_t n);
-
-    /**
-     * Does this TLB run the devirtualized plain-LRU dispatch (the
-     * only kind whose repeat hits are provable policy no-ops)?
-     * Callers gate accessRun() and same-page run compression on this;
-     * CHIRP_FORCE_VIRTUAL turns it off, which keeps the forced-
-     * virtual reference path exercising the uncompressed loop the
-     * equality tests compare against.
-     */
-    bool hasLruMemo() const { return kind_ == PolicyKind::Lru; }
-
-    /**
-     * Does accessBatch() run the batched miss path (policy chunk
-     * precompute + deferred bulk counters) rather than the scalar
-     * reference loop?  Fixed at construction from CHIRP_BATCH_MISS;
-     * the bench reports it so committed baselines are
-     * self-describing.
-     */
-    bool missPathBatched() const { return batchMiss_; }
 
     /** Key combining page number, size class and ASID for set/tag
      *  mapping. */
@@ -193,24 +193,17 @@ class Tlb
     std::uint64_t validCount() const { return array_.validCount(); }
 
   private:
+    /** dispatch_ of a policy outside DevirtualizedPolicies. */
+    static constexpr std::uint8_t kGenericDispatch =
+        DevirtualizedPolicies::size;
+
     /**
-     * Resolved dynamic type of the policy, fixed at construction.
-     * accessSlow branches on it once per access and then runs a
-     * policy-specific instantiation whose hook calls the compiler
-     * devirtualizes and inlines (all concrete policies are final and
-     * keep their hot hooks in their headers).  Generic is the plain
-     * virtual-dispatch path: subclasses of the known policies, and
-     * every policy when CHIRP_FORCE_VIRTUAL is set.
+     * Call @p f with the policy pointer cast to the class dispatch_
+     * names (a ReplacementPolicy * for Generic).  The only place a
+     * dispatch index turns back into a type.
      */
-    enum class PolicyKind : std::uint8_t
-    {
-        Generic,
-        Lru,
-        Chirp,
-        Ship,
-        Ghrp,
-        Srrip,
-    };
+    template <typename F>
+    decltype(auto) withPolicy(F &&f);
 
     /** General hit/miss handling once the memo fast path declined. */
     bool accessSlow(const AccessInfo &info, Asid asid,
@@ -218,8 +211,8 @@ class Tlb
 
     /**
      * Statistics sinks for accessCore: DirectAcct writes the member
-     * counters and the efficiency tracker per event (the scalar
-     * reference); DeferredAcct accumulates a chunk's worth into
+     * counters and the efficiency tracker per event (single
+     * accesses); DeferredAcct accumulates a chunk's worth into
      * locals the batched miss path flushes in bulk at the chunk
      * boundary.  Addition is associative, so both land on
      * bit-identical totals.
@@ -258,16 +251,16 @@ class Tlb
     SetAssocArray<Entry> array_;
     std::unique_ptr<ReplacementPolicy> policy_;
     EfficiencyTracker efficiency_;
-    PolicyKind kind_ = PolicyKind::Generic;
-    // Batched miss path enabled (CHIRP_BATCH_MISS, construction-time).
-    bool batchMiss_ = true;
+    // Index of the policy's exact type in DevirtualizedPolicies
+    // (kGenericDispatch when none matches), fixed at construction.
+    std::uint8_t dispatch_ = kGenericDispatch;
     // Last-hit memo (LRU only): a repeat hit on the immediately-
     // preceding entry is a provable no-op for plain LRU (the way is
     // already MRU, so touch() does nothing and onAccessEnd is the
     // empty default), letting the hot sequential case skip the set
     // scan and all policy calls.  The memo holds the full key, so
     // ASID and page-size mismatches fall through.  Any miss, flush
-    // or reset clears it, and only the Lru dispatch kind ever sets
+    // or reset clears it, and only the LruPolicy dispatch ever sets
     // it.
     int hotWay_ = -1; //!< <0 = no memo
     std::uint32_t hotSet_ = 0;

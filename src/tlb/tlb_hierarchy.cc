@@ -25,13 +25,11 @@ TlbHierarchy::TlbHierarchy(const TlbHierarchyConfig &config,
     if (!walker_)
         chirp_fatal("TLB hierarchy needs a page walker");
     l2WantsRetire_ = l2_.policy().wantsRetireEvents();
-    if (!forceVirtualDispatch()) {
-        ReplacementPolicy &policy = l2_.policy();
-        if (typeid(policy) == typeid(ChirpPolicy))
-            l2Chirp_ = static_cast<ChirpPolicy *>(&policy);
-        else if (typeid(policy) == typeid(GhrpPolicy))
-            l2Ghrp_ = static_cast<GhrpPolicy *>(&policy);
-    }
+    ReplacementPolicy &policy = l2_.policy();
+    if (typeid(policy) == typeid(ChirpPolicy))
+        l2Chirp_ = static_cast<ChirpPolicy *>(&policy);
+    else if (typeid(policy) == typeid(GhrpPolicy))
+        l2Ghrp_ = static_cast<GhrpPolicy *>(&policy);
 }
 
 std::unique_ptr<TlbHierarchy>

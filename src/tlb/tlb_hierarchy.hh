@@ -225,7 +225,7 @@ class TlbHierarchy
     bool l2WantsRetire_ = true;
     //! Exact-type L2 policy views for the retire fast paths (both
     //! classes are final, so the calls devirtualize).  Null when the
-    //! policy is any other type or CHIRP_FORCE_VIRTUAL is set.
+    //! policy is any other type.
     ChirpPolicy *l2Chirp_ = nullptr;
     GhrpPolicy *l2Ghrp_ = nullptr;
     Tlb l1i_;

@@ -23,22 +23,18 @@ traceFormat()
     if (!value || !*value)
         return TraceFormat::Columnar;
     const std::string name(value);
-    if (name == "legacy")
-        return TraceFormat::Legacy;
     if (name == "columnar")
         return TraceFormat::Columnar;
     if (name == "mmap")
         return TraceFormat::Mmap;
     chirp_fatal("CHIRP_TRACE_FORMAT: unknown format '", name,
-                "' (expected legacy, columnar or mmap)");
+                "' (expected columnar or mmap)");
 }
 
 const char *
 traceFormatName(TraceFormat format)
 {
     switch (format) {
-      case TraceFormat::Legacy:
-        return "legacy";
       case TraceFormat::Columnar:
         return "columnar";
       case TraceFormat::Mmap:
@@ -90,8 +86,7 @@ namespace
  * Run the generator straight into owned columns through a small
  * row-major bounce buffer: the records never materialize as one big
  * array-of-structs, so the columnar tiers skip both that allocation
- * and the full-trace transpose afterwards.  The legacy tier keeps
- * the materializeWorkload() + transpose pipeline as reference.
+ * and the full-trace transpose afterwards.
  */
 std::shared_ptr<ColumnarTrace>
 materializeColumnar(const WorkloadConfig &config)
@@ -106,27 +101,19 @@ materializeColumnar(const WorkloadConfig &config)
     return trace;
 }
 
-/** Materialize on the tier the active trace format selects. */
-std::shared_ptr<ColumnarTrace>
-materializeForFormat(const WorkloadConfig &config)
-{
-    if (traceFormat() == TraceFormat::Legacy)
-        return std::make_shared<ColumnarTrace>(
-            materializeWorkload(config));
-    return materializeColumnar(config);
-}
-
 } // namespace
 
 TraceStore::TraceStore()
 {
     if (const char *env = std::getenv("CHIRP_TRACE_CACHE"); env && *env)
         cacheDir_ = env;
+    traceFormat(); // validate now, not at the first disk load
 }
 
 TraceStore::TraceStore(std::string cache_dir)
     : cacheDir_(std::move(cache_dir))
 {
+    traceFormat(); // validate now, not at the first disk load
 }
 
 std::string
@@ -191,12 +178,12 @@ TraceStore::load(const WorkloadConfig &config)
         const std::string path = cachePath(config);
         if (SharedTrace trace = loadFromDisk(config, path))
             return trace;
-        auto trace = materializeForFormat(config);
+        auto trace = materializeColumnar(config);
         generated_.fetch_add(1);
         saveToDisk(*trace, path);
         return trace;
     }
-    auto trace = materializeForFormat(config);
+    auto trace = materializeColumnar(config);
     generated_.fetch_add(1);
     return trace;
 }

@@ -53,25 +53,20 @@ using SharedTrace = std::shared_ptr<const ColumnarTrace>;
  * How traces are stored and replayed, selected by the
  * --trace-format flag / CHIRP_TRACE_FORMAT environment variable:
  *
- *  - Legacy: columnar storage but the reference one-record-at-a-time
- *    replay loops (the CI equality legs diff the other modes against
- *    this one).
- *  - Columnar (default): batched replay pipeline over the columns.
+ *  - Columnar (default): traces live in private memory.
  *  - Mmap: Columnar, plus disk-cache loads map the file zero-copy
  *    instead of streaming it into private memory.
  */
 enum class TraceFormat : std::uint8_t
 {
-    Legacy,
     Columnar,
     Mmap,
 };
 
 /**
- * The active format from CHIRP_TRACE_FORMAT ("legacy", "columnar",
- * "mmap"; unset/empty means Columnar).  Read fresh each call so the
- * equality tests can flip it between runs in one process; fatal on
- * unrecognized values.
+ * The active format from CHIRP_TRACE_FORMAT ("columnar" or "mmap";
+ * unset/empty means Columnar).  Read fresh each call so tests can
+ * flip it between runs in one process; fatal on any other value.
  */
 TraceFormat traceFormat();
 
@@ -147,7 +142,11 @@ class MemoryTraceSource : public TraceSource
 class TraceStore
 {
   public:
-    /** Cache directory from CHIRP_TRACE_CACHE ("" = memory only). */
+    /**
+     * Cache directory from CHIRP_TRACE_CACHE ("" = memory only).
+     * Both constructors validate CHIRP_TRACE_FORMAT (fatal on an
+     * unknown value), which only disk loads consult.
+     */
     TraceStore();
 
     /** Explicit cache directory; empty disables the disk tier. */

@@ -18,9 +18,8 @@
  *  - `CHIRP_SIMD=OFF` at configure time compiles the vector variants
  *    out entirely (portable build);
  *  - `CHIRP_FORCE_SCALAR` in the environment (non-empty, not "0")
- *    forces the scalar reference at runtime, mirroring
- *    CHIRP_FORCE_VIRTUAL — the CI equality leg diffs full bench runs
- *    across the two settings.
+ *    forces the scalar reference at runtime — the CI equality leg
+ *    diffs full bench runs across the two settings.
  *
  * Dispatch layout: the kernels the TLB runs on *every* access scan a
  * handful of lanes (assoc is 4-16, GHRP composes 3 table lanes), so

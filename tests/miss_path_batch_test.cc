@@ -1,25 +1,26 @@
 /**
  * @file
- * Batched-vs-scalar miss-path equivalence: Tlb::accessBatch with the
- * batched miss path (chunk signature/index precompute, deferred bulk
- * counters) must leave exactly the state of the scalar reference —
- * per-access hit results, victim choices, prediction-table traffic
- * and contents, and every statistic — for every policy kind, across
- * odd chunk tails, warmup-style sub-batch splits, and a mid-chunk
- * injected fault (CHIRP_FAULT=chunk-throw@N) whose unwind flushes a
- * torn chunk.
+ * Batched miss-path equivalence: Tlb::accessBatch (chunk
+ * signature/index precompute, deferred bulk counters) must leave
+ * exactly the state of n sequential access() calls — per-access hit
+ * results, victim choices, prediction-table traffic and contents, and
+ * every statistic — for every policy kind and a Generic-dispatch
+ * policy, across odd chunk tails, warmup-style sub-batch splits, and a
+ * mid-chunk injected fault (CHIRP_FAULT=chunk-throw@N) whose unwind
+ * flushes a torn chunk.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/policy_factory.hh"
+#include "support/generic_policy.hh"
 #include "tlb/tlb.hh"
 #include "util/fault_injection.hh"
 
@@ -31,14 +32,6 @@ namespace
 constexpr std::uint32_t kEntries = 128;
 constexpr std::uint32_t kAssoc = 8;
 constexpr Asid kAsid = 1;
-
-/** RAII CHIRP_BATCH_MISS=0 so a failing ASSERT cannot leak it. */
-class ScalarMissPath
-{
-  public:
-    ScalarMissPath() { ::setenv("CHIRP_BATCH_MISS", "0", 1); }
-    ~ScalarMissPath() { ::unsetenv("CHIRP_BATCH_MISS"); }
-};
 
 struct Stream
 {
@@ -52,8 +45,9 @@ struct Stream
 
 /**
  * A random access stream over a working set a few times the TLB
- * capacity (so every policy sees hits, misses and evictions), plus
- * per-chunk retire batches for the history-driven policies.
+ * capacity (so every policy sees hits, misses and evictions), with
+ * runs of repeated pages, plus per-chunk retire batches for the
+ * history-driven policies.
  */
 Stream
 makeStream(std::size_t n, std::size_t chunks, std::uint64_t seed)
@@ -69,6 +63,9 @@ makeStream(std::size_t n, std::size_t chunks, std::uint64_t seed)
         AccessInfo &info = s.infos[i];
         info.pc = 0x400000 + (rng() % 512) * 4;
         info.vaddr = (rng() % (kEntries * 4)) << kPageShift;
+        // Back-to-back repeats of one page: the repeat-hit memo's case.
+        if (i > 0 && rng() % 8 == 0)
+            info.vaddr = s.infos[i - 1].vaddr;
         info.cls = InstClass::Load;
         info.isInstr = false;
         vaddrs[i] = info.vaddr;
@@ -91,15 +88,40 @@ makeStream(std::size_t n, std::size_t chunks, std::uint64_t seed)
     return s;
 }
 
+using MakePolicy = std::function<std::unique_ptr<ReplacementPolicy>(
+    std::uint32_t, std::uint32_t)>;
+
+struct NamedPolicy
+{
+    std::string name;
+    MakePolicy make;
+};
+
+/** Every policy kind plus one policy on the Generic dispatch arm. */
+std::vector<NamedPolicy>
+testPolicies()
+{
+    std::vector<NamedPolicy> policies;
+    for (const PolicyKind kind : allPolicyKinds()) {
+        policies.push_back(
+            {policyKindName(kind),
+             [kind](std::uint32_t sets, std::uint32_t assoc) {
+                 return makePolicy(kind, sets, assoc);
+             }});
+    }
+    policies.push_back({"generic", makePathHashPolicy});
+    return policies;
+}
+
 std::unique_ptr<Tlb>
-makeTlb(PolicyKind kind)
+makeTlb(const NamedPolicy &policy)
 {
     TlbConfig config;
     config.name = "l2";
     config.entries = kEntries;
     config.assoc = kAssoc;
     return std::make_unique<Tlb>(
-        config, makePolicy(kind, kEntries / kAssoc, kAssoc));
+        config, policy.make(kEntries / kAssoc, kAssoc));
 }
 
 void
@@ -132,30 +154,16 @@ expectSameState(Tlb &a, Tlb &b, const Stream &s)
         EXPECT_EQ(a.probe(info.vaddr, kAsid), b.probe(info.vaddr, kAsid));
 }
 
-TEST(MissPathBatch, EnvParsing)
-{
-    ::unsetenv("CHIRP_BATCH_MISS");
-    EXPECT_TRUE(batchMissPath());
-    ::setenv("CHIRP_BATCH_MISS", "", 1);
-    EXPECT_TRUE(batchMissPath()) << "empty means unset";
-    ::setenv("CHIRP_BATCH_MISS", "1", 1);
-    EXPECT_TRUE(batchMissPath());
-    ::setenv("CHIRP_BATCH_MISS", "0", 1);
-    EXPECT_FALSE(batchMissPath()) << "explicit zero disables";
-    ::unsetenv("CHIRP_BATCH_MISS");
-}
-
 /**
- * Batched accessBatch vs the scalar accessBatch reference loop vs n
- * one-at-a-time access() calls: identical per-access hit results and
- * identical end state, for every policy and with chunk sizes that
- * leave odd tails (the last chunk of each size is shorter).
+ * Batched accessBatch vs n one-at-a-time access() calls: identical
+ * per-access hit results and identical end state, for every policy
+ * and with chunk sizes that leave odd tails (the last chunk of each
+ * size is shorter).
  */
-TEST(MissPathBatch, BatchedMatchesScalarEveryPolicy)
+TEST(MissPathBatch, BatchedMatchesSequentialEveryPolicy)
 {
-    ::unsetenv("CHIRP_BATCH_MISS");
-    for (const PolicyKind kind : allPolicyKinds()) {
-        SCOPED_TRACE(policyKindName(kind));
+    for (const NamedPolicy &policy : testPolicies()) {
+        SCOPED_TRACE(policy.name);
         for (const std::size_t chunk_size :
              {std::size_t{256}, std::size_t{97}, std::size_t{1}}) {
             SCOPED_TRACE("chunk " + std::to_string(chunk_size));
@@ -164,18 +172,9 @@ TEST(MissPathBatch, BatchedMatchesScalarEveryPolicy)
                 (n + chunk_size - 1) / chunk_size;
             const Stream s = makeStream(n, chunks, 7 + chunk_size);
 
-            auto batched = makeTlb(kind);
-            ASSERT_TRUE(batched->missPathBatched());
-            std::unique_ptr<Tlb> scalar_batch;
-            std::unique_ptr<Tlb> scalar_one;
-            {
-                ScalarMissPath guard;
-                scalar_batch = makeTlb(kind);
-                scalar_one = makeTlb(kind);
-            }
-            ASSERT_FALSE(scalar_batch->missPathBatched());
-
-            std::vector<std::uint8_t> ha(chunk_size), hb(chunk_size);
+            auto batched = makeTlb(policy);
+            auto sequential = makeTlb(policy);
+            std::vector<std::uint8_t> hits(chunk_size);
             std::size_t c = 0;
             for (std::size_t lo = 0; lo < n; lo += chunk_size, ++c) {
                 const std::size_t m =
@@ -183,23 +182,16 @@ TEST(MissPathBatch, BatchedMatchesScalarEveryPolicy)
                 batched->accessBatch(s.infos.data() + lo,
                                      s.keys.data() + lo,
                                      s.nows.data() + lo, m, kAsid,
-                                     ha.data());
-                scalar_batch->accessBatch(s.infos.data() + lo,
-                                          s.keys.data() + lo,
-                                          s.nows.data() + lo, m,
-                                          kAsid, hb.data());
+                                     hits.data());
                 for (std::size_t j = 0; j < m; ++j) {
-                    EXPECT_EQ(ha[j], hb[j]) << "access " << lo + j;
-                    const bool hit = scalar_one->access(
+                    const bool hit = sequential->access(
                         s.infos[lo + j], kAsid, s.nows[lo + j]);
-                    EXPECT_EQ(ha[j] != 0, hit) << "access " << lo + j;
+                    EXPECT_EQ(hits[j] != 0, hit) << "access " << lo + j;
                 }
                 deliverRetires(*batched, s.retires[c]);
-                deliverRetires(*scalar_batch, s.retires[c]);
-                deliverRetires(*scalar_one, s.retires[c]);
+                deliverRetires(*sequential, s.retires[c]);
             }
-            expectSameState(*batched, *scalar_batch, s);
-            expectSameState(*batched, *scalar_one, s);
+            expectSameState(*batched, *sequential, s);
         }
     }
 }
@@ -207,19 +199,18 @@ TEST(MissPathBatch, BatchedMatchesScalarEveryPolicy)
 /**
  * Warmup-boundary splits: a chunk delivered as two sub-batches split
  * at an arbitrary cut (the simulator's warmup handling) equals the
- * unsplit batch and the scalar loop.
+ * unsplit batch.
  */
 TEST(MissPathBatch, SubBatchSplitMatchesUnsplit)
 {
-    ::unsetenv("CHIRP_BATCH_MISS");
-    for (const PolicyKind kind : allPolicyKinds()) {
-        SCOPED_TRACE(policyKindName(kind));
+    for (const NamedPolicy &policy : testPolicies()) {
+        SCOPED_TRACE(policy.name);
         const std::size_t n = 1024;
         const std::size_t chunk = 256;
         const Stream s = makeStream(n, n / chunk, 23);
 
-        auto split = makeTlb(kind);
-        auto whole = makeTlb(kind);
+        auto split = makeTlb(policy);
+        auto whole = makeTlb(policy);
         std::vector<std::uint8_t> ha(chunk), hb(chunk);
         const std::size_t cuts[] = {0, 1, 101, 255};
         std::size_t c = 0;
@@ -247,26 +238,21 @@ TEST(MissPathBatch, SubBatchSplitMatchesUnsplit)
 /**
  * Mid-chunk fault unwind: CHIRP_FAULT=chunk-throw@K throws a
  * TransientError halfway through the Kth batched chunk.  The flushed
- * counters and all TLB/policy state must equal a scalar run of
- * exactly the accesses that completed before the throw, and both
- * TLBs must stay usable (and identical) afterwards.
+ * counters and all TLB/policy state must equal sequential access()
+ * calls of exactly the accesses that completed before the throw, and
+ * both TLBs must stay usable (and identical) afterwards.
  */
-TEST(MissPathBatch, ChunkThrowUnwindsToScalarState)
+TEST(MissPathBatch, ChunkThrowUnwindsToSequentialState)
 {
-    ::unsetenv("CHIRP_BATCH_MISS");
     constexpr std::size_t kChunk = 256;
     constexpr std::size_t kFaultChunk = 2;
-    for (const PolicyKind kind : allPolicyKinds()) {
-        SCOPED_TRACE(policyKindName(kind));
+    for (const NamedPolicy &policy : testPolicies()) {
+        SCOPED_TRACE(policy.name);
         const std::size_t n = 5 * kChunk;
         const Stream s = makeStream(n, n / kChunk, 41);
 
-        auto batched = makeTlb(kind);
-        std::unique_ptr<Tlb> scalar;
-        {
-            ScalarMissPath guard;
-            scalar = makeTlb(kind);
-        }
+        auto batched = makeTlb(policy);
+        auto sequential = makeTlb(policy);
 
         FaultInjector::instance().configure(
             "chunk-throw@" + std::to_string(kFaultChunk));
@@ -296,31 +282,29 @@ TEST(MissPathBatch, ChunkThrowUnwindsToScalarState)
         EXPECT_FALSE(FaultInjector::chunkFaultsArmed());
         FaultInjector::instance().reset();
 
-        // Scalar replay of exactly the surviving prefix (with the
+        // Sequential replay of exactly the surviving prefix (with the
         // same between-chunk retires).
         for (std::size_t i = 0; i < survived; ++i) {
-            scalar->access(s.infos[i], kAsid, s.nows[i]);
+            sequential->access(s.infos[i], kAsid, s.nows[i]);
             if ((i + 1) % kChunk == 0)
-                deliverRetires(*scalar, s.retires[i / kChunk]);
+                deliverRetires(*sequential, s.retires[i / kChunk]);
         }
-        expectSameState(*batched, *scalar, s);
+        expectSameState(*batched, *sequential, s);
 
         // Both remain consistent when the run continues (the
         // simulator retries a transient fault from a clean slate, but
         // the TLB itself must not be torn).
-        std::vector<std::uint8_t> ha(kChunk), hb(kChunk);
         const std::size_t m = std::min(kChunk, n - survived);
         batched->accessBatch(s.infos.data() + survived,
                              s.keys.data() + survived,
                              s.nows.data() + survived, m, kAsid,
-                             ha.data());
-        scalar->accessBatch(s.infos.data() + survived,
-                            s.keys.data() + survived,
-                            s.nows.data() + survived, m, kAsid,
-                            hb.data());
-        for (std::size_t j = 0; j < m; ++j)
-            EXPECT_EQ(ha[j], hb[j]);
-        expectSameState(*batched, *scalar, s);
+                             hits.data());
+        for (std::size_t j = 0; j < m; ++j) {
+            EXPECT_EQ(hits[j] != 0,
+                      sequential->access(s.infos[survived + j], kAsid,
+                                         s.nows[survived + j]));
+        }
+        expectSameState(*batched, *sequential, s);
     }
 }
 

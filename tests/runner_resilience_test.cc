@@ -3,16 +3,19 @@
  * Suite-runner resilience tests driven by the fault injector: hard
  * faults isolate a single job, transient faults are retried per
  * --retries, the run journal resumes to bit-identical stats, the
- * watchdog cancels jobs overrunning their budget, and a recorder
- * failure in runSuiteMulti fails exactly that workload's pending
- * policies.  All runs are serial (jobs = 1) so fault events land on
- * deterministic jobs.
+ * watchdog cancels jobs overrunning their budget, a recorder failure
+ * in runSuiteMulti fails exactly that workload's pending policies,
+ * and a policy that breaks the shared batch replay falls back to
+ * per-policy replays and fails alone.  Fault-injected runs are serial
+ * (jobs = 1) so fault events land on deterministic jobs.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 
 #include "core/policy_factory.hh"
 #include "sim/run_journal.hh"
@@ -270,6 +273,58 @@ TEST_F(RunnerResilienceTest, MultiReplayFaultFailsOnePolicyJob)
     expectIdenticalStats(results[0][0].stats, reference[0][0].stats);
     expectIdenticalStats(results[0][1].stats, reference[0][1].stats);
     expectIdenticalStats(results[1][1].stats, reference[1][1].stats);
+}
+
+/**
+ * A factory whose first call (the stream-binding probe) succeeds and
+ * whose every later call throws: the policy-parallel batch pass fails
+ * while constructing it, the workload falls back to one guarded
+ * replay per policy, and only this factory's jobs fail.
+ */
+TEST_F(RunnerResilienceTest, MultiBatchConstructionFailureFailsOnePolicy)
+{
+    const auto suite = smallSuite(3);
+    const std::vector<PolicyFactory> healthy = {
+        Runner::factoryFor(PolicyKind::Lru),
+        Runner::factoryFor(PolicyKind::Ghrp),
+        Runner::factoryFor(PolicyKind::Chirp),
+    };
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const Runner runner(fastConfig(), jobs);
+        const auto reference = runner.runSuiteMulti(suite, healthy);
+        ASSERT_EQ(runner.health()->failureCount(), 0u);
+
+        auto calls = std::make_shared<std::atomic<unsigned>>(0);
+        std::vector<PolicyFactory> factories = healthy;
+        factories.insert(
+            factories.begin() + 1,
+            [calls](std::uint32_t sets, std::uint32_t assoc) {
+                if (calls->fetch_add(1) > 0)
+                    throw std::runtime_error("broken policy");
+                return makePolicy(PolicyKind::Srrip, sets, assoc);
+            });
+        const Runner faulty(fastConfig(), jobs);
+        const auto results = faulty.runSuiteMulti(
+            suite, factories, "", {}, {"lru", "broken", "ghrp", "chirp"});
+
+        const SuiteHealth &health = *faulty.health();
+        EXPECT_EQ(health.totalJobs(), suite.size() * factories.size());
+        ASSERT_EQ(health.failureCount(), suite.size());
+        for (const JobResult &job : health.failures()) {
+            EXPECT_EQ(job.policy, "broken");
+            EXPECT_EQ(job.error, "broken policy");
+        }
+        for (std::size_t w = 0; w < suite.size(); ++w) {
+            EXPECT_EQ(results[1][w].stats.instructions, 0u);
+            for (std::size_t p = 0; p < healthy.size(); ++p) {
+                SCOPED_TRACE("policy " + std::to_string(p) + " x " +
+                             suite[w].name);
+                expectIdenticalStats(results[p < 1 ? 0 : p + 1][w].stats,
+                                     reference[p][w].stats);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "bench/harness.hh"
 #include "trace/trace_file.hh"
 #include "trace/trace_store.hh"
 #include "util/fault_injection.hh"
@@ -394,6 +395,35 @@ TEST(TraceStoreFault, InjectedBitflipQuarantinesStreamingTier)
 TEST(TraceStoreFault, InjectedBitflipQuarantinesMmapTier)
 {
     runFaultInjectedBitflip("mmap", 37);
+}
+
+/**
+ * Only "columnar" and "mmap" name a trace format: the retired
+ * "legacy" tier and garbage alike exit through the one unknown-format
+ * fatal, whether they arrive through the environment or the bench
+ * --trace-format flag.
+ */
+TEST(TraceFormatDeathTest, LegacyAndGarbageEnvValuesAreFatal)
+{
+    for (const char *value : {"legacy", "no-such-format"}) {
+        SCOPED_TRACE(value);
+        const ScopedTraceFormat format(value);
+        EXPECT_EXIT(traceFormat(), ::testing::ExitedWithCode(1),
+                    "unknown format");
+        // A store validates on construction, even without a disk tier.
+        EXPECT_EXIT(TraceStore(""), ::testing::ExitedWithCode(1),
+                    "unknown format");
+    }
+}
+
+TEST(TraceFormatDeathTest, BenchFlagRejectsLegacy)
+{
+    char bench[] = "bench";
+    char flag[] = "--trace-format";
+    char legacy[] = "legacy";
+    char *argv[] = {bench, flag, legacy, nullptr};
+    EXPECT_EXIT(bench::makeContext(3, argv, 1, /*mpki_only=*/true),
+                ::testing::ExitedWithCode(1), "unknown format");
 }
 
 TEST(MemoryTraceSource, ReplaysSharedStream)
