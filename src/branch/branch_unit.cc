@@ -18,7 +18,10 @@ BranchUnit::onBranch(const TraceRecord &rec)
 
     switch (rec.cls) {
       case InstClass::CondBranch: {
-        const bool predicted_taken = direction_.predict(rec.pc);
+        // The BTB is independent of the perceptron, so training the
+        // direction first (with the prediction's own sum) is exact.
+        const bool predicted_taken =
+            direction_.predictAndUpdate(rec.pc, rec.taken);
         if (predicted_taken != rec.taken) {
             mispredicted = true;
         } else if (rec.taken) {
@@ -27,7 +30,6 @@ BranchUnit::onBranch(const TraceRecord &rec)
             if (btb_.predict(rec.pc) != rec.target)
                 mispredicted = true;
         }
-        direction_.update(rec.pc, rec.taken);
         if (rec.taken)
             btb_.update(rec.pc, rec.target);
         break;

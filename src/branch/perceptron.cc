@@ -57,7 +57,20 @@ HashedPerceptron::predict(Addr pc) const
 void
 HashedPerceptron::update(Addr pc, bool taken)
 {
+    train(pc, taken, sumFor(pc));
+}
+
+bool
+HashedPerceptron::predictAndUpdate(Addr pc, bool taken)
+{
     const int sum = sumFor(pc);
+    train(pc, taken, sum);
+    return sum >= 0;
+}
+
+void
+HashedPerceptron::train(Addr pc, bool taken, int sum)
+{
     const bool predicted = sum >= 0;
     if (predicted != taken || std::abs(sum) <= theta_) {
         auto bump = [&](std::int8_t &w) {

@@ -44,6 +44,14 @@ class HashedPerceptron
      */
     void update(Addr pc, bool taken);
 
+    /**
+     * predict() then update() with one weight sum: the prediction
+     * and the training decision read the same, unchanged weights and
+     * history, so the sum is computed once.
+     * @return the prediction made before training.
+     */
+    bool predictAndUpdate(Addr pc, bool taken);
+
     /** Clear weights and history. */
     void reset();
 
@@ -52,6 +60,8 @@ class HashedPerceptron
 
   private:
     int sumFor(Addr pc) const;
+    /** update() given the prediction's weight sum @p sum. */
+    void train(Addr pc, bool taken, int sum);
     std::size_t indexFor(Addr pc, unsigned table) const;
 
     PerceptronConfig config_;

@@ -9,6 +9,10 @@ namespace
 std::uint32_t
 setsFor(const CacheConfig &config)
 {
+    // The LRU rank is one byte, so 255 ways is the widest stack.
+    if (config.assoc == 0 || config.assoc > 255)
+        chirp_fatal("cache '", config.name, "': ", config.assoc,
+                    " ways outside 1..255");
     const std::uint64_t lines = config.sizeBytes / config.lineBytes;
     if (lines == 0 || lines % config.assoc != 0)
         chirp_fatal("cache '", config.name, "': size ", config.sizeBytes,
@@ -26,39 +30,59 @@ Cache::Cache(const CacheConfig &config)
     if (!isPowerOfTwo(config.lineBytes))
         chirp_fatal("cache '", config.name, "': line size must be a power "
                     "of two");
+    resetRanks();
+}
+
+void
+Cache::touch(std::uint32_t set, std::uint32_t way)
+{
+    std::uint8_t *rank = &array_.dataAt(set, 0);
+    const std::uint8_t old = rank[way];
+    for (std::uint32_t w = 0; w < array_.assoc(); ++w)
+        rank[w] += rank[w] < old;
+    rank[way] = 0;
+}
+
+void
+Cache::fillMiss(std::uint32_t set, Addr key)
+{
+    ++misses_;
+    lastKey_ = key;
+    lastValid_ = true;
+    // Exactly one way holds the bottom rank: the lowest-index empty
+    // way while any is left, else the LRU line.
+    const std::uint32_t assoc = array_.assoc();
+    const auto victim = static_cast<std::uint32_t>(simd::firstLaneAtLeast(
+        &array_.dataAt(set, 0), assoc,
+        static_cast<std::uint8_t>(assoc - 1)));
+    array_.fill(set, victim, array_.tagOf(key));
+    touch(set, victim);
 }
 
 bool
 Cache::accessLine(Addr key)
 {
-    ++tick_;
-    lastKey_ = key;
-    lastValid_ = true;
     const std::uint32_t set = array_.setIndex(key);
-    const Addr tag = array_.tagOf(key);
-
-    const int way = array_.findWay(set, tag);
+    const int way = array_.findWay(set, array_.tagOf(key));
     if (way >= 0) {
-        array_.dataAt(set, way).lastUse = tick_;
+        lastKey_ = key;
+        lastValid_ = true;
+        touch(set, static_cast<std::uint32_t>(way));
         ++hits_;
         return true;
     }
+    fillMiss(set, key);
+    return false;
+}
 
-    ++misses_;
-    int victim = array_.invalidWay(set);
-    if (victim < 0) {
-        // LRU by recency tick.
-        std::uint64_t oldest = ~std::uint64_t{0};
-        for (std::uint32_t w = 0; w < array_.assoc(); ++w) {
-            const std::uint64_t t = array_.dataAt(set, w).lastUse;
-            if (t < oldest) {
-                oldest = t;
-                victim = static_cast<int>(w);
-            }
-        }
-    }
-    array_.fill(set, static_cast<std::uint32_t>(victim), tag);
-    array_.dataAt(set, victim).lastUse = tick_;
+bool
+Cache::fillIfAbsent(Addr addr)
+{
+    const Addr key = lineKey(addr);
+    const std::uint32_t set = array_.setIndex(key);
+    if (array_.findWay(set, array_.tagOf(key)) >= 0)
+        return true;
+    fillMiss(set, key);
     return false;
 }
 
@@ -70,10 +94,20 @@ Cache::probe(Addr addr) const
 }
 
 void
+Cache::resetRanks()
+{
+    const std::uint32_t assoc = array_.assoc();
+    for (std::uint32_t set = 0; set < array_.numSets(); ++set) {
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            array_.dataAt(set, w) = static_cast<std::uint8_t>(assoc - 1 - w);
+    }
+}
+
+void
 Cache::reset()
 {
     array_.invalidateAll();
-    tick_ = 0;
+    resetRanks();
     hits_ = 0;
     misses_ = 0;
     lastValid_ = false;

@@ -4,6 +4,12 @@
  * for the L1i/L1d/L2/L3 levels of the timing-approximate simulator
  * (Table II).  Timing, not data, is modeled: an access either hits
  * or misses-and-fills.
+ *
+ * Recency is one byte per way: its rank in the set's LRU stack
+ * (0 = MRU).  Way w starts at rank assoc-1-w, so the empty ways sit
+ * at the bottom of the stack in index order and the victim is always
+ * the single way at rank assoc-1: the first invalid way while any
+ * is left, else the least recently used.
  */
 
 #ifndef CHIRP_MEM_CACHE_HH
@@ -53,6 +59,16 @@ class Cache
         return accessLine(key);
     }
 
+    /**
+     * Prefetch fill: when the line of @p addr is present nothing
+     * changes (no hit counted, no recency touched) and the result is
+     * true; otherwise exactly access()'s miss path runs.  One set
+     * scan instead of probe() followed by access(), and the same
+     * state: the last-line memo's line is always resident, so a line
+     * that is absent would miss in access() too.
+     */
+    bool fillIfAbsent(Addr addr);
+
     /** Hit check without any state change (tests). */
     bool probe(Addr addr) const;
 
@@ -66,21 +82,23 @@ class Cache
     std::uint64_t misses() const { return misses_; }
 
   private:
-    /** Per-line payload: recency tick for LRU. */
-    struct Line
-    {
-        std::uint64_t lastUse = 0;
-    };
-
     Addr lineKey(Addr addr) const { return addr >> lineShift_; }
 
     /** access() past the last-line memo. */
     bool accessLine(Addr key);
 
+    /** Count a miss of @p key in @p set and fill it over the LRU way. */
+    void fillMiss(std::uint32_t set, Addr key);
+
+    /** Make @p way the MRU of @p set. */
+    void touch(std::uint32_t set, std::uint32_t way);
+
+    /** Put every set's ranks back to the initial stack order. */
+    void resetRanks();
+
     CacheConfig config_;
     unsigned lineShift_; //!< log2(lineBytes)
-    SetAssocArray<Line> array_;
-    std::uint64_t tick_ = 0;
+    SetAssocArray<std::uint8_t> array_; //!< payload: LRU rank, 0 = MRU
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     Addr lastKey_ = 0;       //!< line the previous access touched

@@ -31,14 +31,13 @@ CacheHierarchy::prefetchAfterMiss(Cache &l1, Addr addr)
         // own translation, which hardware prefetchers avoid.
         if (pageBase(next) != pageBase(addr))
             break;
-        if (l1.probe(next))
-            continue;
+        // A line already in L1 is skipped; otherwise it is filled at
+        // every level it is missing from, each with one set scan.
         // Prefetch latency is overlapped with the demand miss.
-        l1.access(next, false);
-        if (!l2_.probe(next))
-            l2_.access(next, false);
-        if (!l3_.probe(next))
-            l3_.access(next, false);
+        if (l1.fillIfAbsent(next))
+            continue;
+        l2_.fillIfAbsent(next);
+        l3_.fillIfAbsent(next);
         ++prefetches_;
     }
 }

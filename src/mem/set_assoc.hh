@@ -3,8 +3,8 @@
  * Generic set-associative array shared by caches and TLBs.
  *
  * The array manages tags, valid bits and a per-slot payload; callers
- * layer replacement on top (caches use the built-in recency tick,
- * TLBs delegate to a ReplacementPolicy).
+ * layer replacement on top (caches keep a byte LRU rank as the
+ * payload, TLBs delegate to a ReplacementPolicy).
  *
  * Storage is structure-of-arrays: the valid bytes and tags of a set
  * are contiguous runs, so the per-access tag match and invalid-way

@@ -102,11 +102,23 @@ struct StepChunk
     std::uint8_t metas[kReplayBatch];
 };
 
+/** Build @p layer from @p config on first use; reset it after. */
+template <typename Layer, typename Config>
+Layer &
+buildOrReset(std::unique_ptr<Layer> &layer, const Config &config)
+{
+    if (layer)
+        layer->reset();
+    else
+        layer = std::make_unique<Layer>(config);
+    return *layer;
+}
+
 } // namespace
 
 Simulator::Simulator(const SimConfig &config,
                      std::unique_ptr<ReplacementPolicy> l2_policy)
-    : config_(config), caches_(config.caches), branch_(config.branch)
+    : config_(config)
 {
     tlbs_ = std::make_unique<TlbHierarchy>(
         config.tlbs, std::move(l2_policy),
@@ -347,8 +359,14 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
     for (TraceSource *source : sources)
         source->reset();
     tlbs_->reset();
-    caches_.reset();
-    branch_.reset();
+    // A fresh layer equals a reset one, so building on first use
+    // changes no result; runs that skip a layer leave it null.
+    CacheHierarchy *caches = config_.simulateCaches
+                                 ? &buildOrReset(caches_, config_.caches)
+                                 : nullptr;
+    BranchUnit *branch = config_.simulateBranch
+                             ? &buildOrReset(branch_, config_.branch)
+                             : nullptr;
 
     InstCount expected = 0;
     for (const TraceSource *source : sources)
@@ -385,8 +403,8 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
         snap.l2Acc = tlbs_->l2().accesses();
         snap.l2Hit = tlbs_->l2().hits();
         snap.l2Miss = tlbs_->l2().misses();
-        snap.branches = branch_.branches();
-        snap.mispredicts = branch_.mispredicts();
+        snap.branches = branch ? branch->branches() : 0;
+        snap.mispredicts = branch ? branch->mispredicts() : 0;
         snap.tReads = tlbs_->l2().policy().tableReads();
         snap.tWrites = tlbs_->l2().policy().tableWrites();
         snap.walkCycles = tlbs_->walker().totalCycles();
@@ -502,26 +520,25 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
                     info, activeAsid_, now,
                     static_cast<unsigned>(tlbs_->pageShiftFor(pc[j])));
             }
-            if (config_.simulateCaches)
-                cost += caches_.accessInstr(pc[j]);
-            if (config_.simulateBranch && isBranch(cls)) {
+            if (caches)
+                cost += caches->accessInstr(pc[j]);
+            if (branch && isBranch(cls)) {
                 TraceRecord rec;
                 rec.pc = pc[j];
                 rec.effAddr = ea[j];
                 rec.target = tg[j];
                 rec.cls = cls;
                 rec.taken = taken;
-                cost += branch_.onBranch(rec);
+                cost += branch->onBranch(rec);
             }
             if (isMemory(cls)) {
                 if (!c.dhits[d]) {
                     cost += tlbs_->translateL1Miss(
                         c.dinfos[d], activeAsid_, now, c.dshifts[d]);
                 }
-                if (config_.simulateCaches) {
-                    cost += caches_.accessData(
-                        ea[j], cls == InstClass::Store);
-                }
+                if (caches)
+                    cost += caches->accessData(ea[j],
+                                               cls == InstClass::Store);
                 ++d;
             }
             tlbs_->onInstRetired(pc[j], cls);
@@ -637,8 +654,10 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
     stats.l2TlbAccesses = tlbs_->l2().accesses() - snap.l2Acc;
     stats.l2TlbHits = tlbs_->l2().hits() - snap.l2Hit;
     stats.l2TlbMisses = tlbs_->l2().misses() - snap.l2Miss;
-    stats.branches = branch_.branches() - snap.branches;
-    stats.branchMispredicts = branch_.mispredicts() - snap.mispredicts;
+    if (branch) {
+        stats.branches = branch->branches() - snap.branches;
+        stats.branchMispredicts = branch->mispredicts() - snap.mispredicts;
+    }
     stats.tableReads = tlbs_->l2().policy().tableReads() - snap.tReads;
     stats.tableWrites = tlbs_->l2().policy().tableWrites() - snap.tWrites;
     stats.walkCycles = tlbs_->walker().totalCycles() - snap.walkCycles;

@@ -48,7 +48,13 @@ class JobCancelled : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** One processor model instance. */
+/**
+ * One processor model instance.  It owns only the layers its runs
+ * simulate: the TLB hierarchy always; the cache hierarchy and branch
+ * unit are built by the first run whose config simulates them (and
+ * reset by later runs), so MPKI-only runs and replay lanes never
+ * allocate them.
+ */
 class Simulator
 {
   public:
@@ -120,9 +126,6 @@ class Simulator
     TlbHierarchy &tlbs() { return *tlbs_; }
     const TlbHierarchy &tlbs() const { return *tlbs_; }
 
-    BranchUnit &branches() { return branch_; }
-    CacheHierarchy &caches() { return caches_; }
-
     const SimConfig &config() const { return config_; }
 
     /**
@@ -150,8 +153,8 @@ class Simulator
 
     SimConfig config_;
     std::unique_ptr<TlbHierarchy> tlbs_;
-    CacheHierarchy caches_;
-    BranchUnit branch_;
+    std::unique_ptr<CacheHierarchy> caches_; //!< null until simulated
+    std::unique_ptr<BranchUnit> branch_;     //!< null until simulated
 };
 
 } // namespace chirp

@@ -62,6 +62,27 @@ TEST(HashedPerceptron, ResetClearsState)
         << "zero weights predict taken (sum >= 0)";
 }
 
+TEST(HashedPerceptron, PredictAndUpdateMatchesTheTwoCalls)
+{
+    // The fused call trains with the prediction's own sum; over a
+    // mixed stream it must predict and learn exactly like predict()
+    // followed by update().
+    HashedPerceptron fused;
+    HashedPerceptron split;
+    Rng rng(17);
+    for (int i = 0; i < 20000; ++i) {
+        const Addr pc = 0x400000 + 4 * rng.below(64);
+        const bool taken = (pc & 0x8) != 0 ? rng.chance(0.9)
+                                           : rng.chance(0.5);
+        const bool want = split.predict(pc);
+        split.update(pc, taken);
+        ASSERT_EQ(fused.predictAndUpdate(pc, taken), want) << "branch " << i;
+        ASSERT_EQ(fused.history(), split.history());
+    }
+    for (Addr pc = 0x400000; pc < 0x400000 + 4 * 64; pc += 4)
+        EXPECT_EQ(fused.predict(pc), split.predict(pc));
+}
+
 TEST(Btb, StoresAndPredictsTargets)
 {
     Btb btb(1024, 4);

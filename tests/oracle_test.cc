@@ -22,6 +22,7 @@
 #include "core/policy_factory.hh"
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
+#include "support/expect_stats.hh"
 #include "support/generic_policy.hh"
 #include "support/reference_sim.hh"
 #include "trace/ingest/ingest.hh"
@@ -212,29 +213,6 @@ world()
 {
     static const World instance;
     return instance;
-}
-
-void
-expectSameStats(const SimStats &want, const SimStats &got)
-{
-    EXPECT_EQ(want.instructions, got.instructions);
-    EXPECT_EQ(want.warmupInstructions, got.warmupInstructions);
-    EXPECT_EQ(want.cycles, got.cycles);
-    EXPECT_EQ(want.l1iTlbAccesses, got.l1iTlbAccesses);
-    EXPECT_EQ(want.l1iTlbMisses, got.l1iTlbMisses);
-    EXPECT_EQ(want.l1dTlbAccesses, got.l1dTlbAccesses);
-    EXPECT_EQ(want.l1dTlbMisses, got.l1dTlbMisses);
-    EXPECT_EQ(want.l2TlbAccesses, got.l2TlbAccesses);
-    EXPECT_EQ(want.l2TlbHits, got.l2TlbHits);
-    EXPECT_EQ(want.l2TlbMisses, got.l2TlbMisses);
-    EXPECT_EQ(want.branches, got.branches);
-    EXPECT_EQ(want.branchMispredicts, got.branchMispredicts);
-    EXPECT_EQ(want.tableReads, got.tableReads);
-    EXPECT_EQ(want.tableWrites, got.tableWrites);
-    // Bit-identical: both sides sum the same integer generations.
-    EXPECT_EQ(want.l2Efficiency, got.l2Efficiency);
-    EXPECT_EQ(want.walkCycles, got.walkCycles);
-    EXPECT_EQ(want.walkLatency, got.walkLatency);
 }
 
 std::string

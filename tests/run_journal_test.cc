@@ -15,6 +15,7 @@
 #include <fstream>
 
 #include "sim/run_journal.hh"
+#include "support/expect_stats.hh"
 #include "util/logging.hh"
 
 namespace chirp
@@ -57,35 +58,12 @@ sampleStats(std::uint64_t salt)
     return stats;
 }
 
-void
-expectBitIdentical(const SimStats &a, const SimStats &b)
-{
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.warmupInstructions, b.warmupInstructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.l1iTlbAccesses, b.l1iTlbAccesses);
-    EXPECT_EQ(a.l1iTlbMisses, b.l1iTlbMisses);
-    EXPECT_EQ(a.l1dTlbAccesses, b.l1dTlbAccesses);
-    EXPECT_EQ(a.l1dTlbMisses, b.l1dTlbMisses);
-    EXPECT_EQ(a.l2TlbAccesses, b.l2TlbAccesses);
-    EXPECT_EQ(a.l2TlbHits, b.l2TlbHits);
-    EXPECT_EQ(a.l2TlbMisses, b.l2TlbMisses);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
-    EXPECT_EQ(a.tableReads, b.tableReads);
-    EXPECT_EQ(a.tableWrites, b.tableWrites);
-    // Bit-identical, not just close: resume must not drift CSVs.
-    EXPECT_EQ(a.l2Efficiency, b.l2Efficiency);
-    EXPECT_EQ(a.walkCycles, b.walkCycles);
-    EXPECT_EQ(a.walkLatency, b.walkLatency);
-}
-
 TEST(RunJournalCodec, RoundTripsBitExactly)
 {
     const SimStats original = sampleStats(3);
     SimStats decoded;
     ASSERT_TRUE(decodeSimStats(encodeSimStats(original), decoded));
-    expectBitIdentical(original, decoded);
+    expectSameStats(original, decoded);
 }
 
 TEST(RunJournalCodec, PreservesAwkwardDoubles)
@@ -139,9 +117,9 @@ TEST(RunJournal, ResumeReloadsRecordedEntries)
     EXPECT_EQ(resumed.loaded(), 2u);
     SimStats got;
     ASSERT_TRUE(resumed.lookup(101, got));
-    expectBitIdentical(first, got);
+    expectSameStats(first, got);
     ASSERT_TRUE(resumed.lookup(202, got));
-    expectBitIdentical(second, got);
+    expectSameStats(second, got);
     EXPECT_FALSE(resumed.lookup(303, got));
     std::filesystem::remove(path);
 }

@@ -6,6 +6,8 @@
 #include "sim/opt_bound.hh"
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
+#include "support/expect_stats.hh"
+#include "trace/trace_store.hh"
 
 namespace chirp
 {
@@ -80,6 +82,74 @@ TEST(Simulator, RunIsRepeatableOnTheSameInstance)
     const SimStats second = sim.run(*program);
     EXPECT_EQ(first.cycles, second.cycles);
     EXPECT_EQ(first.l2TlbMisses, second.l2TlbMisses);
+}
+
+SimConfig
+mpkiOnlyConfig()
+{
+    SimConfig config;
+    config.simulateCaches = false;
+    config.simulateBranch = false;
+    return config;
+}
+
+SharedTrace
+sharedTrace(const WorkloadConfig &workload)
+{
+    return std::make_shared<const ColumnarTrace>(
+        materializeWorkload(workload));
+}
+
+TEST(Simulator, SecondRunResetsTheLazilyBuiltLayers)
+{
+    // The first timing run builds the cache hierarchy and branch
+    // unit; the second must reset them, not carry their warm state.
+    // A simulator that first ran another trace must also match a
+    // fresh one: a reset layer equals a newly built one.
+    const SharedTrace trace = sharedTrace(testWorkload());
+    const SharedTrace other =
+        sharedTrace(testWorkload(Category::Database, 9, 60000));
+    for (const SimConfig &config : {SimConfig{}, mpkiOnlyConfig()}) {
+        SCOPED_TRACE(config.simulateCaches ? "timing" : "mpki-only");
+        MemoryTraceSource source(trace, "trace");
+        MemoryTraceSource warm(other, "other");
+        Simulator sim(config, l2Policy(config, PolicyKind::Chirp));
+        const SimStats first = sim.run(source);
+        expectSameStats(first, sim.run(source));
+        Simulator used(config, l2Policy(config, PolicyKind::Chirp));
+        used.run(warm);
+        expectSameStats(first, used.run(source));
+    }
+}
+
+TEST(Simulator, MpkiOnlyRunCountsNoBranches)
+{
+    const SimConfig config = mpkiOnlyConfig();
+    Simulator sim(config, l2Policy(config));
+    const auto program = buildWorkload(testWorkload());
+    const SimStats stats = sim.run(*program);
+    EXPECT_GT(stats.l2TlbAccesses, 0u);
+    EXPECT_EQ(stats.branches, 0u);
+    EXPECT_EQ(stats.branchMispredicts, 0u);
+}
+
+TEST(Simulator, ReplayOnAnUnrunTimingSimulatorMatchesRun)
+{
+    // A replay lane never builds caches or a branch unit, even in the
+    // timing config; its result must still equal a full run.
+    const SimConfig config; // timing: caches + branch unit
+    const SharedTrace trace = sharedTrace(testWorkload());
+    Simulator recorder(config, l2Policy(config));
+    std::vector<L2Event> events;
+    recorder.tlbs().setL2EventSink(&events);
+    MemoryTraceSource source(trace, "trace");
+    const SimStats base = recorder.run(source);
+    for (const PolicyKind kind : {PolicyKind::Lru, PolicyKind::Chirp}) {
+        Simulator full(config, l2Policy(config, kind));
+        Simulator lane(config, l2Policy(config, kind));
+        expectSameStats(full.run(source),
+                        lane.replayL2(*trace, events, base));
+    }
 }
 
 TEST(Simulator, DisablingCachesRemovesCacheStalls)
