@@ -23,9 +23,22 @@ main(int argc, char **argv)
     printBanner("Extension study: DRRIP and tree-PLRU vs the paper's "
                 "policies", ctx);
 
+    // One multi-policy call with LRU as factory 0: every policy
+    // replays each workload's one recorded L2 stream.
+    const std::vector<std::string> names = {"lru",  "plru", "srrip",
+                                            "drrip", "ship", "ghrp",
+                                            "chirp"};
+    std::vector<PolicyFactory> factories;
+    for (const std::string &name : names) {
+        factories.push_back(
+            [name](std::uint32_t sets, std::uint32_t assoc) {
+                return makePolicy(name, sets, assoc);
+            });
+    }
     const Runner runner = ctx.runner();
-    const auto lru = runner.runSuite(
-        ctx.suite, Runner::factoryFor(PolicyKind::Lru), "lru");
+    const auto all =
+        runner.runSuiteMulti(ctx.suite, factories, "policies", {}, names);
+    const auto &lru = all[0];
 
     TableFormatter table;
     table.header({"policy", "avg MPKI", "MPKI reduction %"});
@@ -34,15 +47,9 @@ main(int argc, char **argv)
     table.row({"lru", TableFormatter::num(averageMpki(lru), 3), "0.00"});
     csv.row({"lru", TableFormatter::num(averageMpki(lru), 4), "0"});
 
-    std::vector<std::string> names = {"plru", "srrip", "drrip", "ship",
-                                      "ghrp", "chirp"};
-    for (const std::string &name : names) {
-        const auto results = runner.runSuite(
-            ctx.suite,
-            [&](std::uint32_t sets, std::uint32_t assoc) {
-                return makePolicy(name, sets, assoc);
-            },
-            name);
+    for (std::size_t p = 1; p < names.size(); ++p) {
+        const std::string &name = names[p];
+        const auto &results = all[p];
         table.row({name, TableFormatter::num(averageMpki(results), 3),
                    TableFormatter::num(mpkiReductionPct(lru, results),
                                        2)});

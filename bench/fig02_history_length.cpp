@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <iterator>
 
 #include "bench/harness.hh"
 
@@ -21,9 +22,32 @@ main(int argc, char **argv)
     BenchContext ctx = makeContext(argc, argv, 18, /*mpki_only=*/false);
     printBanner("Fig 2: speedup vs global path-history length", ctx);
 
+    // One multi-policy call: LRU (factory 0) plus a CHiRP variant per
+    // (length, branch) point.  The variants differ only in the L2
+    // policy's signature, so every workload is recorded once and its
+    // L2 event stream replayed for all of them.
+    const unsigned lengths[] = {4u, 8u, 12u, 16u, 24u, 32u, 40u};
+    std::vector<PolicyFactory> factories = {
+        Runner::factoryFor(PolicyKind::Lru)};
+    std::vector<std::string> tags = {"lru"};
+    for (const unsigned length : lengths) {
+        for (const bool with_branch : {false, true}) {
+            ChirpConfig config;
+            config.history.pathEvents = length;
+            config.history.useCondHist = with_branch;
+            config.history.useUncondHist = with_branch;
+            factories.push_back(
+                [config](std::uint32_t sets, std::uint32_t assoc) {
+                    return makeChirp(sets, assoc, config);
+                });
+            tags.push_back("len" + std::to_string(length) +
+                           (with_branch ? "+br" : ""));
+        }
+    }
     const Runner runner = ctx.runner();
-    const auto lru = runner.runSuite(
-        ctx.suite, Runner::factoryFor(PolicyKind::Lru), "lru");
+    const auto all =
+        runner.runSuiteMulti(ctx.suite, factories, "history", {}, tags);
+    const auto &lru = all[0];
 
     TableFormatter table;
     table.header({"path length", "PC-history only (speedup %)",
@@ -32,29 +56,16 @@ main(int argc, char **argv)
     csv.row({"path_events", "speedup_pct_pc_only",
              "speedup_pct_with_branch"});
 
-    for (const unsigned length : {4u, 8u, 12u, 16u, 24u, 32u, 40u}) {
-        double speedups[2] = {0.0, 0.0};
-        for (const bool with_branch : {false, true}) {
-            ChirpConfig config;
-            config.history.pathEvents = length;
-            config.history.useCondHist = with_branch;
-            config.history.useUncondHist = with_branch;
-            char label[48];
-            std::snprintf(label, sizeof(label), "len%u%s", length,
-                          with_branch ? "+br" : "");
-            const auto results = runner.runSuite(
-                ctx.suite,
-                [&](std::uint32_t sets, std::uint32_t assoc) {
-                    return makeChirp(sets, assoc, config);
-                },
-                label);
-            speedups[with_branch ? 1 : 0] =
-                speedupPct(lru, results, ctx.config.pageWalkLatency);
+    for (std::size_t i = 0; i < std::size(lengths); ++i) {
+        double speedups[2];
+        for (std::size_t b = 0; b < 2; ++b) {
+            speedups[b] = speedupPct(lru, all[1 + 2 * i + b],
+                                     ctx.config.pageWalkLatency);
         }
-        table.row({TableFormatter::num(std::uint64_t{length}),
+        table.row({TableFormatter::num(std::uint64_t{lengths[i]}),
                    TableFormatter::num(speedups[0], 2),
                    TableFormatter::num(speedups[1], 2)});
-        csv.row({std::to_string(length),
+        csv.row({std::to_string(lengths[i]),
                  TableFormatter::num(speedups[0], 3),
                  TableFormatter::num(speedups[1], 3)});
     }

@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <iterator>
 
 #include "bench/harness.hh"
 
@@ -23,10 +24,6 @@ main(int argc, char **argv)
     printBanner("Fig 9: CHiRP MPKI improvement vs prediction-table size",
                 ctx);
 
-    const Runner runner = ctx.runner();
-    const auto lru = runner.runSuite(
-        ctx.suite, Runner::factoryFor(PolicyKind::Lru), "lru");
-
     const struct
     {
         std::size_t bytes;
@@ -36,6 +33,27 @@ main(int argc, char **argv)
         {2048, 28.0}, {4096, 29.0}, {8192, 30.0},
     };
 
+    // One multi-policy call: LRU (factory 0) plus a CHiRP variant per
+    // table size, all replaying each workload's one recorded stream.
+    std::vector<PolicyFactory> factories = {
+        Runner::factoryFor(PolicyKind::Lru)};
+    std::vector<std::string> tags = {"lru"};
+    std::vector<std::size_t> entries;
+    for (const auto &point : points) {
+        ChirpConfig config;
+        config.tableEntries = point.bytes * 8 / config.counterBits;
+        entries.push_back(config.tableEntries);
+        factories.push_back(
+            [config](std::uint32_t sets, std::uint32_t assoc) {
+                return makeChirp(sets, assoc, config);
+            });
+        tags.push_back(std::to_string(point.bytes) + "B");
+    }
+    const Runner runner = ctx.runner();
+    const auto all =
+        runner.runSuiteMulti(ctx.suite, factories, "table size", {}, tags);
+    const auto &lru = all[0];
+
     TableFormatter table;
     table.header({"table size", "counters", "MPKI improvement % "
                   "(measured)", "paper %"});
@@ -43,27 +61,19 @@ main(int argc, char **argv)
     csv.row({"table_bytes", "counters", "improvement_pct_measured",
              "improvement_pct_paper"});
 
-    for (const auto &point : points) {
-        ChirpConfig config;
-        config.tableEntries = point.bytes * 8 / config.counterBits;
-        const auto results = runner.runSuite(
-            ctx.suite,
-            [&](std::uint32_t sets, std::uint32_t assoc) {
-                return makeChirp(sets, assoc, config);
-            },
-            std::to_string(point.bytes) + "B");
-        const double improvement = mpkiReductionPct(lru, results);
+    for (std::size_t i = 0; i < std::size(points); ++i) {
+        const auto &point = points[i];
+        const double improvement = mpkiReductionPct(lru, all[i + 1]);
         const std::string label =
             point.bytes >= 1024
                 ? std::to_string(point.bytes / 1024) + "KB"
                 : std::to_string(point.bytes) + "B";
         table.row({label,
-                   TableFormatter::num(std::uint64_t{
-                       config.tableEntries}),
+                   TableFormatter::num(std::uint64_t{entries[i]}),
                    TableFormatter::num(improvement, 2),
                    TableFormatter::num(point.paper, 1)});
         csv.row({std::to_string(point.bytes),
-                 std::to_string(config.tableEntries),
+                 std::to_string(entries[i]),
                  TableFormatter::num(improvement, 3),
                  TableFormatter::num(point.paper, 1)});
     }

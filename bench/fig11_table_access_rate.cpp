@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <iterator>
 
 #include "bench/harness.hh"
 #include "util/stats.hh"
@@ -40,10 +41,18 @@ main(int argc, char **argv)
     summary.header({"policy", "mean rate (measured)", "stddev",
                     "min", "max", "paper mean"});
 
+    std::vector<PolicyFactory> factories;
+    std::vector<std::string> tags;
     for (const auto &entry : policies) {
-        const auto results = runner.runSuite(
-            ctx.suite, Runner::factoryFor(entry.kind),
-            policyKindName(entry.kind));
+        factories.push_back(Runner::factoryFor(entry.kind));
+        tags.push_back(policyKindName(entry.kind));
+    }
+    const auto all =
+        runner.runSuiteMulti(ctx.suite, factories, "policies", {}, tags);
+
+    for (std::size_t p = 0; p < std::size(policies); ++p) {
+        const auto &entry = policies[p];
+        const auto &results = all[p];
         RunningStat stat;
         Histogram density(0.0, 8.0, 32);
         for (const auto &r : results) {

@@ -21,10 +21,13 @@ main(int argc, char **argv)
     printBanner("OPT (Belady) bound vs LRU and CHiRP", ctx);
 
     const Runner runner = ctx.runner();
-    const auto lru = runner.runSuite(
-        ctx.suite, Runner::factoryFor(PolicyKind::Lru), "lru");
-    const auto chirp_results = runner.runSuite(
-        ctx.suite, Runner::factoryFor(PolicyKind::Chirp), "chirp");
+    const auto all = runner.runSuiteMulti(
+        ctx.suite,
+        {Runner::factoryFor(PolicyKind::Lru),
+         Runner::factoryFor(PolicyKind::Chirp)},
+        "policies", {}, {"lru", "chirp"});
+    const auto &lru = all[0];
+    const auto &chirp_results = all[1];
 
     double lru_sum = 0.0;
     double chirp_sum = 0.0;

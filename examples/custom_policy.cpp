@@ -111,17 +111,19 @@ main()
                                               400'000);
     const auto suite = makeSuite(options);
 
-    const auto lru =
-        runner.runSuite(suite, Runner::factoryFor(PolicyKind::Lru),
-                        "lru");
-    const auto slru = runner.runSuite(
+    // A custom policy is just another factory: it replays each
+    // workload's recorded L2 TLB stream alongside the built-in ones.
+    const auto all = runner.runSuiteMulti(
         suite,
-        [](std::uint32_t sets, std::uint32_t assoc) {
-            return std::make_unique<SlruPolicy>(sets, assoc);
-        },
-        "slru");
-    const auto chirp_results = runner.runSuite(
-        suite, Runner::factoryFor(PolicyKind::Chirp), "chirp");
+        {Runner::factoryFor(PolicyKind::Lru),
+         [](std::uint32_t sets, std::uint32_t assoc) {
+             return std::make_unique<SlruPolicy>(sets, assoc);
+         },
+         Runner::factoryFor(PolicyKind::Chirp)},
+        "policies", {}, {"lru", "slru", "chirp"});
+    const auto &lru = all[0];
+    const auto &slru = all[1];
+    const auto &chirp_results = all[2];
 
     TableFormatter table;
     table.header({"policy", "avg MPKI", "MPKI reduction %",

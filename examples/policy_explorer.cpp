@@ -30,11 +30,19 @@ main()
     SimConfig config;
     Runner runner(config);
 
-    std::map<PolicyKind, std::vector<WorkloadResult>> results;
+    // One multi-policy call: each workload is simulated once and its
+    // L2 TLB stream replayed for every policy.
+    std::vector<PolicyFactory> factories;
+    std::vector<std::string> tags;
     for (const PolicyKind kind : allPolicyKinds()) {
-        results[kind] = runner.runSuite(
-            suite, Runner::factoryFor(kind), policyKindName(kind));
+        factories.push_back(Runner::factoryFor(kind));
+        tags.push_back(policyKindName(kind));
     }
+    const auto all =
+        runner.runSuiteMulti(suite, factories, "policies", {}, tags);
+    std::map<PolicyKind, std::vector<WorkloadResult>> results;
+    for (std::size_t p = 0; p < all.size(); ++p)
+        results[allPolicyKinds()[p]] = all[p];
     const auto &lru = results[PolicyKind::Lru];
 
     // Overall comparison (the Fig 7/8/11 headline metrics).

@@ -202,9 +202,8 @@ class SweepFabric
     FabricStats stats() const;
 
     /**
-     * Declare suite call @p seq not distributable (observer attached
-     * or single-factory runs): workers announcing it are released
-     * with Skip.
+     * Declare suite call @p seq not distributable (an observer is
+     * attached): workers announcing it are released with Skip.
      */
     void skipSuite(std::uint64_t seq);
 

@@ -426,36 +426,6 @@ Runner::setHealth(std::shared_ptr<SuiteHealth> health)
                      : std::make_shared<SuiteHealth>();
 }
 
-SimStats
-Runner::runOne(const WorkloadConfig &workload,
-               const PolicyFactory &factory) const
-{
-    const std::uint32_t sets =
-        config_.tlbs.l2.entries / config_.tlbs.l2.assoc;
-    Simulator sim(config_, factory(sets, config_.tlbs.l2.assoc));
-    if (!workload.tracePath.empty()) {
-        // External workload: replay the ingested stream; the store
-        // dedups concurrent ingests of the same file.
-        const SharedTrace trace = store_->get(workload);
-        MemoryTraceSource source(trace, workload.name);
-        return sim.run(source);
-    }
-    const auto program = buildWorkload(workload);
-    return sim.run(*program);
-}
-
-SimStats
-Runner::runReplay(const WorkloadConfig &workload,
-                  const SharedTrace &trace,
-                  const PolicyFactory &factory) const
-{
-    const std::uint32_t sets =
-        config_.tlbs.l2.entries / config_.tlbs.l2.assoc;
-    MemoryTraceSource source(trace, workload.name);
-    Simulator sim(config_, factory(sets, config_.tlbs.l2.assoc));
-    return sim.run(source);
-}
-
 void
 Runner::setTraceCacheDir(const std::string &dir)
 {
@@ -818,110 +788,8 @@ Runner::runSuite(const std::vector<WorkloadConfig> &suite,
                  const PolicyFactory &factory,
                  const std::string &label) const
 {
-    return runSuiteParallel(suite, factory, jobs_, label);
-}
-
-std::vector<WorkloadResult>
-Runner::runSuiteParallel(const std::vector<WorkloadConfig> &suite,
-                         const PolicyFactory &factory, unsigned jobs,
-                         const std::string &label) const
-{
-    if (jobs == 0)
-        jobs = ThreadPool::defaultConcurrency();
-
-    RunJournal *journal = journal_.get();
-    dist::SweepFabric *fabric = fabric_.get();
-    if (fabric && fabric->isWorker())
-        journal = nullptr;
-    // Same single-counter numbering as runSuiteMulti (see there).
-    std::uint64_t seq = 0;
-    if (fabric)
-        seq = fabric->nextSuiteSeq();
-    else if (journal_)
-        seq = journal_->nextSuiteSeq();
-    if (fabric && fabric->isWorker()) {
-        // Single-factory suites never distribute; only the
-        // coordinator's CSVs are real, so answer with zero shapes.
-        std::vector<WorkloadResult> zeros(suite.size());
-        for (std::size_t i = 0; i < suite.size(); ++i)
-            zeros[i].workload = suite[i];
-        return zeros;
-    }
-    if (fabric && fabric->isCoordinator())
-        fabric->skipSuite(seq);
-
-    ProgressReporter progress(label, suite.size());
-    const std::string tag = label.empty() ? "policy" : label;
-    RunLedger ledger(tag, health_, journal != nullptr);
-    Watchdog dog(resilience_.jobTimeoutMs, suite.size());
-
-    // Every job writes only its own slot, so the merged vector is in
-    // suite order and bit-identical to the serial path no matter
-    // which worker finishes first, and a failed job leaves only its
-    // own slot zeroed.
-    std::vector<WorkloadResult> results(suite.size());
-    auto run_job = [&](std::size_t i) {
-        results[i].workload = suite[i];
-        const std::uint64_t key =
-            journal ? RunJournal::jobKey(seq, suite[i], 0) : 0;
-        JobResult job;
-        job.workload = suite[i].name;
-        job.policy = tag;
-        if (journal && journal->lookup(key, results[i].stats)) {
-            job.ok = true;
-            job.resumed = true;
-        } else {
-            const GuardOutcome out = runGuarded(
-                resilience_.retries, dog, i, suite[i].name, [&] {
-                    // runOne, inlined so the watchdog's cancel token
-                    // reaches the simulator (and, for external
-                    // workloads, the ingest front-end).
-                    const std::uint32_t sets =
-                        config_.tlbs.l2.entries / config_.tlbs.l2.assoc;
-                    Simulator sim(
-                        config_,
-                        factory(sets, config_.tlbs.l2.assoc));
-                    sim.setCancelToken(dog.token(i));
-                    if (!suite[i].tracePath.empty()) {
-                        ScopedIngestCancel ingest_cancel(dog.token(i));
-                        const SharedTrace trace = store_->get(suite[i]);
-                        MemoryTraceSource source(trace, suite[i].name);
-                        results[i].stats = sim.run(source);
-                        return;
-                    }
-                    const auto program = buildWorkload(suite[i]);
-                    results[i].stats = sim.run(*program);
-                });
-            if (out.ok && journal)
-                journal->record(key, results[i].stats);
-            job.ok = out.ok;
-            job.hung = out.hung;
-            job.timedOut = out.timedOut;
-            job.attempts = out.attempts;
-            job.wallNs = out.wallNs;
-            job.error = out.error;
-        }
-        ledger.add(std::move(job));
-        progress.tick();
-    };
-
-    if (jobs <= 1 || suite.size() <= 1) {
-        // Legacy serial path: one job after another on this thread.
-        for (std::size_t i = 0; i < suite.size(); ++i)
-            run_job(i);
-    } else {
-        ThreadPool pool(std::min<std::size_t>(jobs, suite.size()));
-        std::vector<std::future<void>> pending;
-        pending.reserve(suite.size());
-        for (std::size_t i = 0; i < suite.size(); ++i)
-            pending.push_back(pool.submit([&, i] { run_job(i); }));
-        // Jobs never throw (failures land in the ledger), so get()
-        // here is pure synchronization.
-        for (std::future<void> &job : pending)
-            job.get();
-    }
-    ledger.summarize();
-    return results;
+    return runSuiteMulti(suite, {factory}, label, {},
+                         {label.empty() ? "policy" : label})[0];
 }
 
 PolicyFactory

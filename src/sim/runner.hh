@@ -128,24 +128,9 @@ class Runner
      */
     explicit Runner(const SimConfig &config, unsigned jobs = 1);
 
-    /** Simulate one workload with a fresh policy from @p factory. */
-    SimStats runOne(const WorkloadConfig &workload,
-                    const PolicyFactory &factory) const;
-
     /**
-     * Simulate every workload in @p suite using the configured job
-     * count.  Progress is reported on stderr under @p label when it
-     * is non-empty.  Results are always in suite order and
-     * bit-identical whatever the job count: each job gets a fresh
-     * policy instance and an independent RNG stream keyed by the
-     * workload seed, so no state is shared across jobs.
-     *
-     * Failure isolation: a throwing job never aborts the suite.  The
-     * failed slot keeps zeroed stats, the outcome (error text,
-     * attempts, wall time, hung flag) is recorded in the shared
-     * SuiteHealth ledger, and a per-job failure summary is logged at
-     * the end of the run.  Jobs failing with TransientError are
-     * retried per the ResilienceOptions.
+     * runSuiteMulti with the single factory @p factory, tagged with
+     * @p label ("policy" when empty) in failure summaries.
      */
     std::vector<WorkloadResult>
     runSuite(const std::vector<WorkloadConfig> &suite,
@@ -153,30 +138,32 @@ class Runner
              const std::string &label = "") const;
 
     /**
-     * As runSuite, but with an explicit worker count (0 = hardware
-     * concurrency, 1 = serial) overriding the configured one.
-     */
-    std::vector<WorkloadResult>
-    runSuiteParallel(const std::vector<WorkloadConfig> &suite,
-                     const PolicyFactory &factory, unsigned jobs,
-                     const std::string &label = "") const;
-
-    /**
-     * Run every factory in @p factories over @p suite, materializing
-     * each workload's record stream exactly once in the trace store
-     * and replaying it from flat memory for all P policies — a
-     * P-policy sweep costs one generation per workload instead of P.
-     * Returns one result vector per factory, each in suite order and
-     * bit-identical to runSuite of that factory alone at any job
-     * count.  The store's reference to a workload is dropped as soon
-     * as all policies have replayed it, so peak memory is bounded by
-     * the in-flight jobs, not the suite.  @p observer, when set, is
-     * invoked after each job (see SimObserver) and disables the run
-     * journal for this call: resumed jobs skip simulation, so any
-     * observer-derived data would silently go missing.  @p tags,
-     * when non-empty, names each factory in failure summaries
-     * (defaults to "p<idx>").  Failure isolation as in runSuite; a
-     * recorder failure fails every pending policy of that workload.
+     * Run every factory in @p factories over @p suite with the
+     * configured job count, materializing each workload's record
+     * stream exactly once in the trace store and replaying it from
+     * flat memory for all P policies — a P-policy sweep costs one
+     * generation per workload instead of P.  Returns one result
+     * vector per factory, each in suite order and bit-identical to a
+     * plain Simulator::run of that policy at any job count: each job
+     * gets a fresh policy instance and no state is shared across
+     * workloads.  The store's reference to a workload is dropped as
+     * soon as all policies have replayed it, so peak memory is
+     * bounded by the in-flight jobs, not the suite.  Progress is
+     * reported on stderr under @p label when it is non-empty.
+     *
+     * Failure isolation: a throwing job never aborts the suite.  The
+     * failed slot keeps zeroed stats, the outcome (error text,
+     * attempts, wall time, hung flag) is recorded in the shared
+     * SuiteHealth ledger, and a per-job failure summary is logged at
+     * the end of the run.  Jobs failing with TransientError are
+     * retried per the ResilienceOptions.  A recorder failure fails
+     * every pending policy of that workload.
+     *
+     * @p observer, when set, is invoked after each job (see
+     * SimObserver) and disables the run journal for this call:
+     * resumed jobs skip simulation, so any observer-derived data
+     * would silently go missing.  @p tags, when non-empty, names each
+     * factory in failure summaries (defaults to "p<idx>").
      */
     std::vector<std::vector<WorkloadResult>>
     runSuiteMulti(const std::vector<WorkloadConfig> &suite,
@@ -184,11 +171,6 @@ class Runner
                   const std::string &label = "",
                   const SimObserver &observer = {},
                   const std::vector<std::string> &tags = {}) const;
-
-    /** Replay one materialized workload with a fresh policy. */
-    SimStats runReplay(const WorkloadConfig &workload,
-                       const SharedTrace &trace,
-                       const PolicyFactory &factory) const;
 
     /**
      * Point the trace store's disk tier at @p dir (resets the store;
@@ -202,11 +184,8 @@ class Runner
 
     const SimConfig &config() const { return config_; }
 
-    /** Worker threads used by runSuite. */
+    /** Worker threads used by suite runs (see constructor). */
     unsigned jobs() const { return jobs_; }
-
-    /** Change the worker count used by runSuite (see constructor). */
-    void setJobs(unsigned jobs) { jobs_ = jobs; }
 
     /** Retry/watchdog knobs for subsequent suite runs. */
     void setResilience(const ResilienceOptions &opts)
@@ -235,9 +214,9 @@ class Runner
      * back to in-process execution for whatever the fabric hands
      * back.  On a worker, suite calls announce themselves and execute
      * granted shards, streaming every job outcome to the coordinator;
-     * non-distributable calls (observer attached, single-factory
-     * paths) return zero-shaped results immediately —
-     * only the coordinator's CSVs are real.  nullptr detaches.
+     * non-distributable calls (observer attached) return zero-shaped
+     * results immediately — only the coordinator's CSVs are real.
+     * nullptr detaches.
      */
     void setFabric(std::shared_ptr<dist::SweepFabric> fabric)
     {

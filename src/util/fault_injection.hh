@@ -9,7 +9,9 @@
  * failure actions from a spec string (CHIRP_FAULT in the environment,
  * or configure() in tests) and fires them at two instrumented points:
  *
- *   job events    one per suite-job attempt (Runner's guarded jobs)
+ *   job events    one per suite-job attempt (Runner's guarded jobs:
+ *                 each workload's recorder attempt, then each of its
+ *                 policy jobs' attempts)
  *   cache events  one per trace-cache file published to disk
  *
  * Events are numbered from 0 in program order, so a given spec always

@@ -78,13 +78,14 @@ TEST(Integration, ChirpTouchesItsTableFarLessThanGhrp)
 
 TEST(Integration, CryptoWorkloadsFitTheTlb)
 {
-    Runner runner(fastConfig());
+    const Runner runner(fastConfig(), 1);
     WorkloadConfig workload;
     workload.category = Category::Crypto;
     workload.seed = 12;
     workload.length = 200000;
     const SimStats stats =
-        runner.runOne(workload, Runner::factoryFor(PolicyKind::Lru));
+        runner.runSuite({workload}, Runner::factoryFor(PolicyKind::Lru))[0]
+            .stats;
     EXPECT_LT(stats.mpki(), 0.5)
         << "compute-bound tiny-footprint workloads barely miss";
 }
@@ -103,10 +104,10 @@ TEST(Integration, BiggerTlbNeverHurtsBadly)
     SimConfig small = fastConfig();
     SimConfig big = fastConfig();
     big.tlbs.l2.entries = 2048;
+    const auto lru = Runner::factoryFor(PolicyKind::Lru);
     const SimStats s_small =
-        Runner(small).runOne(workload, Runner::factoryFor(PolicyKind::Lru));
-    const SimStats s_big =
-        Runner(big).runOne(workload, Runner::factoryFor(PolicyKind::Lru));
+        Runner(small, 1).runSuite({workload}, lru)[0].stats;
+    const SimStats s_big = Runner(big, 1).runSuite({workload}, lru)[0].stats;
     EXPECT_LE(s_big.mpki(), s_small.mpki() * 1.05);
 }
 

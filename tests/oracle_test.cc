@@ -7,7 +7,8 @@
  * and four jobs must each reproduce the oracle's statistics field for
  * field, l2Efficiency bit-identical.  The policy set is every
  * PolicyKind, Fig 2's and the parameter sweep's CHiRP history
- * variants, and a Generic-dispatch policy; the workloads are synthetic
+ * variants, Fig 9's table sizes, the plru and drrip extension policies
+ * and a Generic-dispatch policy; the workloads are synthetic
  * suite members and ingested CVP and ChampSim fixtures; the warmup is
  * either zero or a boundary off the 256-record chunk grid.
  * Simulator::run is also checked with mixed 4KB/2MB pages.
@@ -40,7 +41,10 @@ struct NamedPolicy
     PolicyFactory make;
 };
 
-/** Every policy kind, the CHiRP history variants, one Generic policy. */
+/**
+ * Every policy kind, the CHiRP history and table-size variants, the
+ * named extension policies, one Generic policy.
+ */
 std::vector<NamedPolicy>
 oraclePolicies()
 {
@@ -90,6 +94,20 @@ oraclePolicies()
     config = {};
     config.hash = HashKind::Crc;
     add_chirp("hash=crc", config);
+    // Fig 9: the prediction-table budget, 128B..8KB of 2-bit counters.
+    for (const std::size_t bytes : {128u, 256u, 512u, 1024u, 2048u,
+                                    4096u, 8192u}) {
+        config = {};
+        config.tableEntries = bytes * 8 / config.counterBits;
+        add_chirp("entries=" + std::to_string(config.tableEntries), config);
+    }
+    // The named extension policies the extra_policies bench sweeps.
+    for (const std::string name : {"plru", "drrip"}) {
+        policies.push_back(
+            {name, [name](std::uint32_t sets, std::uint32_t assoc) {
+                 return makePolicy(name, sets, assoc);
+             }});
+    }
     policies.push_back({"generic", makePathHashPolicy});
     return policies;
 }

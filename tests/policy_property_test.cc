@@ -205,9 +205,9 @@ TEST_P(PolicyProperty, RunsOverAnIngestedExternalTrace)
     SimConfig config;
     config.simulateCaches = false;
     config.simulateBranch = false;
-    const Runner runner(config);
+    const Runner runner(config, 1);
     const SimStats stats =
-        runner.runOne(workload, Runner::factoryFor(kind()));
+        runner.runSuite({workload}, Runner::factoryFor(kind()))[0].stats;
     EXPECT_EQ(stats.instructions + stats.warmupInstructions, 12000u);
     EXPECT_GT(stats.l2TlbAccesses, 0u);
 }

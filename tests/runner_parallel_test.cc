@@ -16,6 +16,7 @@
 #include "core/policy_factory.hh"
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
+#include "trace/synthetic/workload_factory.hh"
 
 namespace chirp
 {
@@ -69,47 +70,43 @@ expectIdenticalResults(const std::vector<WorkloadResult> &serial,
 
 TEST(RunnerParallel, MatchesSerialForLru)
 {
-    const Runner runner(fastConfig());
     const auto suite = smallSuite();
     const auto factory = Runner::factoryFor(PolicyKind::Lru);
     expectIdenticalResults(
-        runner.runSuiteParallel(suite, factory, 1),
-        runner.runSuiteParallel(suite, factory, 4));
+        Runner(fastConfig(), 1).runSuite(suite, factory),
+        Runner(fastConfig(), 4).runSuite(suite, factory));
 }
 
 TEST(RunnerParallel, MatchesSerialForChirp)
 {
     // CHiRP is the stateful policy with the most internal machinery;
     // if any state leaked across jobs this is where it would show.
-    const Runner runner(fastConfig());
     const auto suite = smallSuite();
     const auto factory = Runner::factoryFor(PolicyKind::Chirp);
     expectIdenticalResults(
-        runner.runSuiteParallel(suite, factory, 1),
-        runner.runSuiteParallel(suite, factory, 4));
+        Runner(fastConfig(), 1).runSuite(suite, factory),
+        Runner(fastConfig(), 4).runSuite(suite, factory));
 }
 
-TEST(RunnerParallel, ConfiguredJobsMatchExplicitJobs)
+TEST(RunnerParallel, ConfiguredJobsMatchSerial)
 {
     const auto suite = smallSuite(6);
     const auto factory = Runner::factoryFor(PolicyKind::Srrip);
     const Runner serial(fastConfig(), 1);
-    Runner parallel(fastConfig(), 3);
+    const Runner parallel(fastConfig(), 3);
+    EXPECT_EQ(serial.jobs(), 1u);
     EXPECT_EQ(parallel.jobs(), 3u);
     expectIdenticalResults(serial.runSuite(suite, factory),
                            parallel.runSuite(suite, factory));
-    parallel.setJobs(1);
-    EXPECT_EQ(parallel.jobs(), 1u);
 }
 
 TEST(RunnerParallel, MoreJobsThanWorkloads)
 {
-    const Runner runner(fastConfig());
     const auto suite = smallSuite(3);
     const auto factory = Runner::factoryFor(PolicyKind::Random);
     expectIdenticalResults(
-        runner.runSuiteParallel(suite, factory, 1),
-        runner.runSuiteParallel(suite, factory, 16));
+        Runner(fastConfig(), 1).runSuite(suite, factory),
+        Runner(fastConfig(), 16).runSuite(suite, factory));
 }
 
 TEST(RunnerParallel, IsolatesJobExceptions)
@@ -117,14 +114,14 @@ TEST(RunnerParallel, IsolatesJobExceptions)
     // A throwing job must not abort the suite: the run completes,
     // the failure lands in the health ledger with the job's error,
     // and only the failed slot carries empty stats.
-    const Runner runner(fastConfig());
+    const Runner runner(fastConfig(), 4);
     const auto suite = smallSuite(6);
     const PolicyFactory throwing =
         [](std::uint32_t, std::uint32_t)
         -> std::unique_ptr<ReplacementPolicy> {
         throw std::runtime_error("factory exploded");
     };
-    const auto results = runner.runSuiteParallel(suite, throwing, 4);
+    const auto results = runner.runSuite(suite, throwing);
     ASSERT_EQ(results.size(), suite.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(results[i].workload.name, suite[i].name);
@@ -157,10 +154,10 @@ TEST(RunnerParallel, AggregateIsOrderIndependent)
     EXPECT_GT(forward.instructions, 0u);
 }
 
-TEST(RunnerMulti, MatchesPerPolicyRunSuite)
+TEST(RunnerMulti, MatchesPlainSimulatorRuns)
 {
-    // The materialized-replay sweep must be bit-identical to running
-    // each policy standalone through the generator, serial or not.
+    // The materialized-replay sweep must be bit-identical to a full
+    // Simulator::run of each policy over the generator, serial or not.
     const auto suite = smallSuite(6);
     const std::vector<PolicyFactory> factories = {
         Runner::factoryFor(PolicyKind::Lru),
@@ -174,9 +171,17 @@ TEST(RunnerMulti, MatchesPerPolicyRunSuite)
     const auto multi_parallel = parallel.runSuiteMulti(suite, factories);
     ASSERT_EQ(multi_serial.size(), factories.size());
     ASSERT_EQ(multi_parallel.size(), factories.size());
+    const SimConfig config = fastConfig();
+    const std::uint32_t sets = config.tlbs.l2.entries / config.tlbs.l2.assoc;
     for (std::size_t p = 0; p < factories.size(); ++p) {
         SCOPED_TRACE("policy " + std::to_string(p));
-        const auto standalone = serial.runSuite(suite, factories[p]);
+        std::vector<WorkloadResult> standalone;
+        for (const WorkloadConfig &workload : suite) {
+            Simulator sim(config,
+                          factories[p](sets, config.tlbs.l2.assoc));
+            standalone.push_back(
+                {workload, sim.run(*buildWorkload(workload))});
+        }
         expectIdenticalResults(standalone, multi_serial[p]);
         expectIdenticalResults(standalone, multi_parallel[p]);
     }
@@ -221,22 +226,6 @@ TEST(RunnerMulti, ObserverSeesEveryJob)
         for (std::size_t w = 0; w < suite.size(); ++w)
             EXPECT_EQ(seen[p * suite.size() + w],
                       std::make_pair(p, w));
-}
-
-TEST(RunnerMulti, RunReplayMatchesGeneratorRun)
-{
-    const auto suite = smallSuite(1);
-    const Runner runner(fastConfig(), 1);
-    const auto factory = Runner::factoryFor(PolicyKind::Srrip);
-    const auto reference = runner.runSuite(suite, factory);
-
-    const SharedTrace trace = runner.traceStore().get(suite[0]);
-    const SimStats replayed =
-        runner.runReplay(suite[0], trace, factory);
-    EXPECT_EQ(replayed.instructions, reference[0].stats.instructions);
-    EXPECT_EQ(replayed.cycles, reference[0].stats.cycles);
-    EXPECT_EQ(replayed.l2TlbMisses, reference[0].stats.l2TlbMisses);
-    EXPECT_EQ(replayed.l2Efficiency, reference[0].stats.l2Efficiency);
 }
 
 TEST(RunnerParallel, MergeSumsCounters)

@@ -7,7 +7,9 @@
  * in runSuiteMulti fails exactly that workload's pending policies,
  * and a policy that breaks the shared batch replay falls back to
  * per-policy replays and fails alone.  Fault-injected runs are serial
- * (jobs = 1) so fault events land on deterministic jobs.
+ * (jobs = 1) so fault events land on deterministic jobs: a serial
+ * single-factory suite numbers workload w's recorder attempt 2w and
+ * its policy job 2w + 1 (each retry shifts the later events by one).
  */
 
 #include <gtest/gtest.h>
@@ -69,11 +71,11 @@ expectIdenticalStats(const SimStats &a, const SimStats &b)
 TEST_F(RunnerResilienceTest, HardFaultIsolatesOneJob)
 {
     const auto suite = smallSuite();
-    const Runner runner(fastConfig());
-    // Serial run: job event 1 is the second workload's only attempt.
-    FaultInjector::instance().configure("hard-throw@1");
-    const auto results = runner.runSuiteParallel(
-        suite, Runner::factoryFor(PolicyKind::Lru), 1);
+    const Runner runner(fastConfig(), 1);
+    // Serial run: job event 3 is the second workload's policy job.
+    FaultInjector::instance().configure("hard-throw@3");
+    const auto results =
+        runner.runSuite(suite, Runner::factoryFor(PolicyKind::Lru));
 
     ASSERT_EQ(results.size(), suite.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -97,15 +99,15 @@ TEST_F(RunnerResilienceTest, TransientFaultIsRetriedToSuccess)
 {
     const auto suite = smallSuite();
     const auto factory = Runner::factoryFor(PolicyKind::Srrip);
-    const Runner clean(fastConfig());
-    const auto reference = clean.runSuiteParallel(suite, factory, 1);
+    const Runner clean(fastConfig(), 1);
+    const auto reference = clean.runSuite(suite, factory);
 
-    Runner runner(fastConfig());
+    Runner runner(fastConfig(), 1);
     ASSERT_EQ(runner.resilience().retries, 1u) << "default retry budget";
-    // Serial events: job0 @0, job1 @1, job2 @2 (throws) then its
-    // retry @3, job3 @4.
-    FaultInjector::instance().configure("throw@2");
-    const auto results = runner.runSuiteParallel(suite, factory, 1);
+    // Serial events: recorder/job pairs w0 @0 @1, w1 @2 @3, w2's
+    // recorder @4, its job @5 (throws) then the retry @6, w3 @7 @8.
+    FaultInjector::instance().configure("throw@5");
+    const auto results = runner.runSuite(suite, factory);
 
     const SuiteHealth &health = *runner.health();
     EXPECT_EQ(health.okJobs(), suite.size());
@@ -121,12 +123,11 @@ TEST_F(RunnerResilienceTest, TransientFaultIsRetriedToSuccess)
 TEST_F(RunnerResilienceTest, ExhaustedRetriesFailTheJob)
 {
     const auto suite = smallSuite();
-    Runner runner(fastConfig());
-    // Both the first attempt (event 1) and the one retry (event 2)
-    // fail; the job is out of budget after 2 attempts.
-    FaultInjector::instance().configure("throw@1,throw@2");
-    runner.runSuiteParallel(suite, Runner::factoryFor(PolicyKind::Lru),
-                            1);
+    Runner runner(fastConfig(), 1);
+    // Both the first attempt of workload 1's job (event 3) and the one
+    // retry (event 4) fail; the job is out of budget after 2 attempts.
+    FaultInjector::instance().configure("throw@3,throw@4");
+    runner.runSuite(suite, Runner::factoryFor(PolicyKind::Lru));
     const SuiteHealth &health = *runner.health();
     ASSERT_EQ(health.failureCount(), 1u);
     EXPECT_EQ(health.failures()[0].attempts, 2u);
@@ -138,11 +139,11 @@ TEST_F(RunnerResilienceTest, ExhaustedRetriesFailTheJob)
 TEST_F(RunnerResilienceTest, ZeroRetriesFailsOnFirstTransient)
 {
     const auto suite = smallSuite(2);
-    Runner runner(fastConfig());
+    Runner runner(fastConfig(), 1);
     runner.setResilience({/*retries=*/0, /*jobTimeoutMs=*/0});
-    FaultInjector::instance().configure("throw@0");
-    runner.runSuiteParallel(suite, Runner::factoryFor(PolicyKind::Lru),
-                            1);
+    // Event 1 is workload 0's policy job (event 0 its recorder).
+    FaultInjector::instance().configure("throw@1");
+    runner.runSuite(suite, Runner::factoryFor(PolicyKind::Lru));
     const SuiteHealth &health = *runner.health();
     ASSERT_EQ(health.failureCount(), 1u);
     EXPECT_EQ(health.failures()[0].attempts, 1u);
@@ -151,17 +152,17 @@ TEST_F(RunnerResilienceTest, ZeroRetriesFailsOnFirstTransient)
 TEST_F(RunnerResilienceTest, WatchdogCancelsSlowJobs)
 {
     const auto suite = smallSuite(3);
-    Runner runner(fastConfig());
+    Runner runner(fastConfig(), 1);
     // The budget must let a healthy job finish even on a loaded CI
     // runner under sanitizers (~100 ms observed) while the slow job
     // overruns it by a wide margin.
     runner.setResilience({/*retries=*/1, /*jobTimeoutMs=*/400});
-    // Job 1's attempt sleeps 1.5 s before simulating; the watchdog
-    // trips at 400 ms and the simulator aborts at its first
-    // cancellation point.
-    FaultInjector::instance().configure("slow@1:1500");
-    const auto results = runner.runSuiteParallel(
-        suite, Runner::factoryFor(PolicyKind::Lru), 1);
+    // Workload 1's policy job (event 3) sleeps 1.5 s before
+    // replaying; the watchdog trips at 400 ms and the simulator
+    // aborts at its first cancellation point.
+    FaultInjector::instance().configure("slow@3:1500");
+    const auto results =
+        runner.runSuite(suite, Runner::factoryFor(PolicyKind::Lru));
     const SuiteHealth &health = *runner.health();
     EXPECT_EQ(health.okJobs(), suite.size() - 1)
         << "the watchdog is enforcing: the slow job is cancelled";
@@ -185,27 +186,27 @@ TEST_F(RunnerResilienceTest, JournalResumeIsBitIdentical)
     std::filesystem::remove(path);
     const std::uint64_t fp = 0xc0ffee;
 
-    const Runner clean(fastConfig());
-    const auto reference = clean.runSuiteParallel(suite, factory, 1);
+    const Runner clean(fastConfig(), 1);
+    const auto reference = clean.runSuite(suite, factory);
 
     {
-        // First run: job 2 dies with a permanent fault, the other
-        // three land in the journal.
-        Runner crashing(fastConfig());
+        // First run: workload 2's policy job (event 5) dies with a
+        // permanent fault, the other three land in the journal.
+        Runner crashing(fastConfig(), 1);
         crashing.setJournal(
             std::make_shared<RunJournal>(path, fp, /*resume=*/false));
-        FaultInjector::instance().configure("hard-throw@2");
-        crashing.runSuiteParallel(suite, factory, 1);
+        FaultInjector::instance().configure("hard-throw@5");
+        crashing.runSuite(suite, factory);
         EXPECT_EQ(crashing.health()->failureCount(), 1u);
     }
 
     FaultInjector::instance().reset();
-    Runner resuming(fastConfig());
+    Runner resuming(fastConfig(), 1);
     auto journal =
         std::make_shared<RunJournal>(path, fp, /*resume=*/true);
     EXPECT_EQ(journal->loaded(), suite.size() - 1);
     resuming.setJournal(journal);
-    const auto resumed = resuming.runSuiteParallel(suite, factory, 1);
+    const auto resumed = resuming.runSuite(suite, factory);
 
     const SuiteHealth &health = *resuming.health();
     EXPECT_EQ(health.resumedJobs(), suite.size() - 1)

@@ -416,9 +416,10 @@ TEST(IngestRunner, ExternalWorkloadRunsThroughTheSuite)
     SimConfig config;
     config.simulateCaches = false;
     config.simulateBranch = false;
-    const Runner runner(config);
+    const Runner runner(config, 1);
     const SimStats stats =
-        runner.runOne(workload, Runner::factoryFor(PolicyKind::Lru));
+        runner.runSuite({workload}, Runner::factoryFor(PolicyKind::Lru))[0]
+            .stats;
     // Warmup instructions are accounted separately; together they
     // must cover exactly the ingested stream.
     EXPECT_EQ(stats.instructions + stats.warmupInstructions,
@@ -442,11 +443,11 @@ TEST(IngestRunner, CorruptFileFailsItsJobNotTheSuite)
     SimConfig config;
     config.simulateCaches = false;
     config.simulateBranch = false;
-    Runner runner(config);
+    Runner runner(config, 1);
     auto health = std::make_shared<SuiteHealth>();
     runner.setHealth(health);
-    const auto results = runner.runSuiteParallel(
-        suite, Runner::factoryFor(PolicyKind::Lru), 1);
+    const auto results =
+        runner.runSuite(suite, Runner::factoryFor(PolicyKind::Lru));
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].stats.instructions, 0u);
     EXPECT_EQ(results[1].stats.instructions +
@@ -475,10 +476,10 @@ TEST(IngestRunner, ParallelJobsMatchSerial)
     config.simulateBranch = false;
     const Runner serial(config, 1);
     const Runner parallel(config, 3);
-    const auto a = serial.runSuiteParallel(
-        suite, Runner::factoryFor(PolicyKind::Lru), 1);
-    const auto b = parallel.runSuiteParallel(
-        suite, Runner::factoryFor(PolicyKind::Lru), 3);
+    const auto a =
+        serial.runSuite(suite, Runner::factoryFor(PolicyKind::Lru));
+    const auto b =
+        parallel.runSuite(suite, Runner::factoryFor(PolicyKind::Lru));
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].stats.instructions, b[i].stats.instructions);
