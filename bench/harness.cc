@@ -6,12 +6,10 @@
 #include <cstring>
 #include <string>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "trace/ingest/ingest.hh"
 #include "trace/trace_store.hh"
-#include "util/fault_injection.hh"
 #include "util/hashing.hh"
 #include "util/logging.hh"
 #include "util/quarantine.hh"
@@ -101,11 +99,10 @@ traceWorkloadName(const std::string &path)
 /**
  * When CHIRP_TRACE_IN names one or more external trace files
  * (comma-separated), replace the synthetic suite with one workload
- * per file.  Paths are absolutized and republished through the
- * environment so --workers children — which chdir into per-worker
- * scratch directories before building their suite — resolve the same
- * files.  The format choice is validated eagerly so a typo fails the
- * run up front rather than inside the first sharded job.
+ * per file.  Paths are absolutized, so the journal identity does not
+ * depend on the working directory.  The format choice is validated
+ * eagerly so a typo fails the run up front rather than inside the
+ * first job.
  */
 void
 applyExternalSuite(BenchContext &ctx)
@@ -131,13 +128,6 @@ applyExternalSuite(BenchContext &ctx)
     }
     if (paths.empty())
         chirp_fatal("CHIRP_TRACE_IN contains no paths");
-    std::string joined;
-    for (const std::string &p : paths) {
-        if (!joined.empty())
-            joined += ',';
-        joined += p;
-    }
-    ::setenv("CHIRP_TRACE_IN", joined.c_str(), 1);
     std::vector<WorkloadConfig> suite;
     for (const std::string &path : paths) {
         WorkloadConfig config;
@@ -156,102 +146,6 @@ applyExternalSuite(BenchContext &ctx)
         suite.push_back(std::move(config));
     }
     ctx.suite = std::move(suite);
-}
-
-/**
- * Turn this process into sweep-fabric worker: attach the wire,
- * target the fault injector, silence journaling, and relocate into a
- * per-worker scratch directory so the worker's CSVs can never
- * clobber the coordinator's.
- */
-void
-enterWorkerMode(BenchContext &ctx, int worker_fd, unsigned worker_id,
-                const std::string &connect_path)
-{
-    const dist::FabricOptions opts = dist::fabricOptionsFromEnv();
-    std::shared_ptr<dist::SweepFabric> fabric;
-    if (worker_fd >= 0)
-        fabric = dist::SweepFabric::makeWorker(worker_fd, worker_id,
-                                               opts);
-    else
-        fabric = dist::SweepFabric::connectWorker(connect_path, opts);
-    FaultInjector::instance().setWorkerId(
-        static_cast<int>(fabric->workerId()));
-    // Only the coordinator journals and resumes; a worker journal
-    // would race it on the same sidecar.
-    ctx.journalPath.clear();
-    ctx.resume = false;
-    // The scratch chdir below must not strand a shared trace cache.
-    ctx.traceCacheDir = absolutePath(ctx.traceCacheDir);
-    const std::string root = "chirp-workers";
-    if (::mkdir(root.c_str(), 0777) != 0 && errno != EEXIST)
-        chirp_fatal("mkdir ", root, ": ", std::strerror(errno));
-    const std::string dir =
-        root + "/w" + std::to_string(fabric->workerId());
-    if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
-        chirp_fatal("mkdir ", dir, ": ", std::strerror(errno));
-    if (::chdir(dir.c_str()) != 0)
-        chirp_fatal("chdir ", dir, ": ", std::strerror(errno));
-    // Ship every warn/inform/progress line to the coordinator, which
-    // prefixes it with this worker's id on one serialized stderr.
-    std::shared_ptr<dist::SweepFabric> sink = fabric;
-    setLogSink([sink](const std::string &line) {
-        sink->emitLog(line);
-    });
-    ctx.fabric = std::move(fabric);
-}
-
-/**
- * Make this process the sweep coordinator: open the fabric (with the
- * shard ledger next to the journal) and fork the requested local
- * workers as re-executions of this binary.
- */
-void
-enterCoordinatorMode(BenchContext &ctx, const char *argv0,
-                     unsigned workers,
-                     const std::string &socket_path)
-{
-    dist::FabricOptions opts = dist::fabricOptionsFromEnv();
-    opts.socketPath = socket_path;
-    if (!ctx.journalPath.empty()) {
-        opts.ledgerPath = ctx.journalPath + ".shards";
-        opts.ledgerFingerprint = ctx.fingerprint();
-        opts.ledgerResume = ctx.resume;
-    }
-    // Without a trace cache every worker process regenerates every
-    // workload it is sharded — N workers pay the whole suite's
-    // generation N times over.  Default sharded runs to an on-disk
-    // cache next to the results: the first process to need a trace
-    // publishes it (write-to-temp + rename, so concurrent writers are
-    // safe) and everyone else loads — or, on the mmap tier, maps —
-    // that one copy.
-    if (ctx.traceCacheDir.empty())
-        ctx.traceCacheDir = "chirp-trace-cache";
-    ctx.fabric = dist::SweepFabric::makeCoordinator(opts);
-
-    // Workers re-execute this binary: same environment, so the same
-    // suite; fabric-free argv plus the worker flags spawnWorker
-    // appends.  execv needs a real path — argv[0] without a slash
-    // (PATH lookup) won't do, so fall back to /proc/self/exe.
-    std::string self = argv0 ? argv0 : "";
-    if (self.find('/') == std::string::npos)
-        self = "/proc/self/exe";
-    std::vector<std::string> argv{self, "--jobs", "1", "--no-journal"};
-    argv.push_back("--retries");
-    argv.push_back(std::to_string(ctx.resilience.retries));
-    if (ctx.resilience.jobTimeoutMs) {
-        argv.push_back("--job-timeout");
-        argv.push_back(std::to_string(ctx.resilience.jobTimeoutMs));
-    }
-    if (!ctx.traceCacheDir.empty()) {
-        argv.push_back("--trace-cache");
-        argv.push_back(absolutePath(ctx.traceCacheDir));
-    }
-    for (unsigned i = 0; i < workers; ++i) {
-        if (!ctx.fabric->spawnWorker(argv))
-            chirp_warn("failed to spawn worker ", i,
-                       "; continuing with fewer");
-    }
 }
 
 } // namespace
@@ -316,12 +210,6 @@ BenchContext::identity() const
     return id;
 }
 
-std::uint64_t
-BenchContext::fingerprint() const
-{
-    return identity().fingerprint();
-}
-
 BenchContext
 makeContext(int argc, char **argv, std::size_t default_suite_size,
             bool mpki_only)
@@ -330,11 +218,6 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
     ctx.benchName = benchBasename(argc > 0 ? argv[0] : nullptr);
     ctx.journalPath = defaultJournalPath(argc > 0 ? argv[0] : nullptr);
     bool no_journal = false;
-    unsigned workers = 0;
-    std::string coordinator_path;
-    std::string worker_path;
-    int worker_fd = -1;
-    unsigned worker_id = 0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--jobs" || arg == "-j") {
@@ -361,8 +244,7 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
                 value = arg.substr(std::strlen("--trace-format="));
             }
             // Publish through the environment: traceFormat() reads it
-            // at every decision point, and forked --workers inherit
-            // it, so one flag pins the whole process tree to a tier.
+            // at every decision point.
             ::setenv("CHIRP_TRACE_FORMAT", value.c_str(), 1);
             traceFormat(); // validate now, not at first use
         } else if (arg == "--trace-in" ||
@@ -377,8 +259,8 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
             }
             if (value.empty())
                 chirp_fatal("--trace-in needs a non-empty path");
-            // Accumulate into CHIRP_TRACE_IN (the flag is repeatable)
-            // so forked --workers children rebuild the same suite.
+            // Accumulate into CHIRP_TRACE_IN (the flag is repeatable);
+            // applyExternalSuite rebuilds the suite from it below.
             std::string list;
             if (const char *prior = std::getenv("CHIRP_TRACE_IN");
                 prior && *prior) {
@@ -442,34 +324,11 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
         } else if (arg == "--workers") {
             if (i + 1 >= argc)
                 chirp_fatal(arg, " needs a value");
-            workers = static_cast<unsigned>(
+            ctx.workers = static_cast<unsigned>(
                 parseCount("--workers", argv[++i]));
         } else if (arg.rfind("--workers=", 0) == 0) {
-            workers = static_cast<unsigned>(parseCount(
+            ctx.workers = static_cast<unsigned>(parseCount(
                 "--workers", arg.c_str() + std::strlen("--workers=")));
-        } else if (arg == "--coordinator") {
-            if (i + 1 >= argc)
-                chirp_fatal(arg, " needs a socket path");
-            coordinator_path = argv[++i];
-        } else if (arg.rfind("--coordinator=", 0) == 0) {
-            coordinator_path =
-                arg.substr(std::strlen("--coordinator="));
-        } else if (arg == "--worker") {
-            if (i + 1 >= argc)
-                chirp_fatal(arg, " needs a socket path");
-            worker_path = argv[++i];
-        } else if (arg.rfind("--worker=", 0) == 0) {
-            worker_path = arg.substr(std::strlen("--worker="));
-        } else if (arg == "--worker-fd") {
-            if (i + 1 >= argc)
-                chirp_fatal(arg, " needs a value");
-            worker_fd = static_cast<int>(
-                parseCount("--worker-fd", argv[++i]));
-        } else if (arg == "--worker-id") {
-            if (i + 1 >= argc)
-                chirp_fatal(arg, " needs a value");
-            worker_id = static_cast<unsigned>(
-                parseCount("--worker-id", argv[++i]));
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: %s [--jobs N] [--trace-cache DIR]\n"
@@ -479,7 +338,6 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
                 "       [--ingest-bad-budget N]\n"
                 "       [--retries N] [--job-timeout MS] [--resume]\n"
                 "       [--journal PATH] [--no-journal] [--workers N]\n"
-                "       [--coordinator PATH] [--worker PATH]\n"
                 "  --jobs N, -j N     suite-runner worker threads\n"
                 "                     (default: hardware concurrency or\n"
                 "                     CHIRP_JOBS; 1 = serial)\n"
@@ -487,8 +345,7 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
                 "                     (default: CHIRP_TRACE_CACHE)\n"
                 "  --trace-format F   trace tier: columnar (default)\n"
                 "                     or mmap (zero-copy disk cache);\n"
-                "                     sets CHIRP_TRACE_FORMAT so\n"
-                "                     --workers children inherit it\n"
+                "                     sets CHIRP_TRACE_FORMAT\n"
                 "  --trace-in PATH    replace the synthetic suite with\n"
                 "                     external trace files (repeatable;\n"
                 "                     or CHIRP_TRACE_IN, comma-\n"
@@ -513,19 +370,15 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
                 "  --journal PATH     journal location (default:\n"
                 "                     <binary>.csv.journal)\n"
                 "  --no-journal       disable job journaling\n"
-                "  --workers N        fork N worker processes and shard\n"
-                "                     multi-policy sweeps across them\n"
-                "                     (crash-tolerant; CSVs stay\n"
-                "                     byte-identical to a serial run)\n"
-                "  --coordinator PATH also accept external workers on\n"
-                "                     AF_UNIX socket PATH\n"
-                "  --worker PATH      run as a worker attached to the\n"
-                "                     coordinator at socket PATH\n"
+                "  --workers N        fork up to N worker processes per\n"
+                "                     suite run, one per shard of its\n"
+                "                     workloads; a worker that dies only\n"
+                "                     re-runs its unfinished workloads\n"
+                "                     in-process (CSVs stay byte-\n"
+                "                     identical to a serial run)\n"
                 "Suite fidelity scales via CHIRP_SUITE_SIZE,\n"
                 "CHIRP_TRACE_LEN and CHIRP_SEED; CHIRP_FAULT injects\n"
-                "deterministic faults for resilience testing;\n"
-                "CHIRP_DIST_* tunes the sweep fabric (see\n"
-                "dist/fabric.hh).\n",
+                "deterministic faults for resilience testing.\n",
                 argv[0]);
             std::exit(0);
         } else {
@@ -536,22 +389,8 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
         ctx.journalPath.clear();
     if (ctx.resume && ctx.journalPath.empty())
         chirp_fatal("--resume needs a journal (drop --no-journal)");
-    // --trace-in may have extended CHIRP_TRACE_IN above; rebuild the
-    // external suite now, before the coordinator derives the shard
-    // ledger fingerprint from identity() below.
+    // --trace-in may have extended CHIRP_TRACE_IN above.
     applyExternalSuite(ctx);
-    const bool is_worker = worker_fd >= 0 || !worker_path.empty();
-    if (is_worker && (workers || !coordinator_path.empty()))
-        chirp_fatal("a process is either a worker or a coordinator, "
-                    "not both");
-    if (worker_fd >= 0 && !worker_path.empty())
-        chirp_fatal("--worker-fd and --worker are mutually exclusive");
-    if (is_worker)
-        enterWorkerMode(ctx, worker_fd, worker_id, worker_path);
-    else if (workers || !coordinator_path.empty()) {
-        enterCoordinatorMode(ctx, argc > 0 ? argv[0] : nullptr,
-                             workers, coordinator_path);
-    }
     return ctx;
 }
 
@@ -567,13 +406,10 @@ finish(const BenchContext &ctx)
                      health.hungJobs(), " hung, ",
                      health.timedOutJobs(), " timed out)");
     }
-    if (ctx.fabric && ctx.fabric->isCoordinator()) {
-        const dist::FabricStats fs = ctx.fabric->stats();
-        chirp_inform("fabric: ", fs.remoteResults, " remote jobs from ",
-                     fs.workersSpawned + fs.workersAttached,
-                     " workers (", fs.workersLost, " lost, ",
-                     fs.shardsRequeued, " shards requeued, ",
-                     fs.shardsLocal, " run locally)");
+    if (health.lostWorkers() || health.rerunWorkloads()) {
+        chirp_inform("workers: ", health.lostWorkers(), " lost, ",
+                     health.rerunWorkloads(),
+                     " workloads re-run in-process");
     }
     // Satellite hygiene: one line accounting for every artifact the
     // run quarantined (.corrupt caches, .stale journals), so nothing

@@ -23,15 +23,13 @@
  * job, reproducing the CSVs byte-identically.  CHIRP_FAULT injects
  * deterministic faults (see util/fault_injection.hh).
  *
- * Distributed sweeps: `--workers N` forks N worker processes
- * (re-executions of the same binary) and shards multi-policy suite
- * runs across them through the crash-tolerant sweep fabric (see
- * dist/fabric.hh); `--coordinator PATH` additionally accepts external
- * workers over an AF_UNIX socket, and `--worker PATH` turns this
- * process into such a worker.  The merged CSVs are byte-identical to
- * a single-process run, even when workers are killed mid-shard.
- * `--worker-fd FD --worker-id N` are the internal flags a spawned
- * worker is launched with.
+ * Process isolation: `--workers N` makes each suite run without an
+ * observer fork up to N child processes, one per shard of its pending
+ * workloads (see Runner::setWorkers).  Children stream their results back over a
+ * checksummed pipe; the parent alone journals and writes CSVs.  The
+ * merged CSVs are byte-identical to a single-process run, even when
+ * a worker is killed mid-shard: what it left unfinished re-runs
+ * in-process.
  *
  * External traces: `--trace-in PATH` (repeatable, or CHIRP_TRACE_IN
  * with comma-separated paths) replaces the synthetic suite with one
@@ -52,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/fabric.hh"
 #include "sim/run_journal.hh"
 #include "sim/runner.hh"
 #include "util/csv.hh"
@@ -79,8 +76,8 @@ struct BenchContext
     bool resume = false;
     /** Bench binary basename, naming the journal's identity. */
     std::string benchName = "bench";
-    /** Sweep-fabric end (coordinator or worker); null = in-process. */
-    std::shared_ptr<dist::SweepFabric> fabric;
+    /** Forked worker processes per suite run (0 = in-process). */
+    unsigned workers = 0;
     /** Job-outcome ledger shared by every Runner of this bench. */
     std::shared_ptr<SuiteHealth> health =
         std::make_shared<SuiteHealth>();
@@ -94,9 +91,6 @@ struct BenchContext
      * report name the diverging field.
      */
     JournalIdentity identity() const;
-
-    /** Combined hash of identity(); stamps the shard ledger too. */
-    std::uint64_t fingerprint() const;
 
     Runner
     runner() const
@@ -113,8 +107,7 @@ struct BenchContext
             }
             runner.setJournal(journal);
         }
-        if (fabric)
-            runner.setFabric(fabric);
+        runner.setWorkers(workers);
         return runner;
     }
 };
@@ -134,24 +127,20 @@ BenchContext makeContext(std::size_t default_suite_size, bool mpki_only);
  * `--retries N` / `--job-timeout MS` tune failure handling,
  * `--resume` continues an interrupted run from its journal,
  * `--journal PATH` / `--no-journal` override the default
- * "<binary>.csv.journal" sidecar, `--workers N` /
- * `--coordinator PATH` / `--worker PATH` engage the distributed
- * sweep fabric (see the file comment), `--trace-in PATH` /
+ * "<binary>.csv.journal" sidecar, `--workers N` forks worker
+ * processes (see the file comment), `--trace-in PATH` /
  * `--trace-in-format F` / `--ingest-bad-budget N` switch the suite to
  * external trace files (see the file comment), and `--help` prints
- * usage.
- * Unknown arguments are fatal.  Worker mode relocates the process
- * into a "chirp-workers/w<id>/" scratch directory and disables its
- * journal: only the coordinator's CSVs are real.
+ * usage.  Unknown arguments are fatal.
  */
 BenchContext makeContext(int argc, char **argv,
                          std::size_t default_suite_size, bool mpki_only);
 
 /**
  * Standard bench epilogue: report resumed/retried/hung/timed-out job
- * counts when any, summarize the sweep fabric's orchestration (lost
- * workers, requeued shards) on a coordinator, and return the bench's
- * exit code — 1 when any job failed (results incomplete), else 0.
+ * counts when any, and lost workers with the workloads they left to
+ * re-run in-process when any, and return the bench's exit code — 1
+ * when any job failed (results incomplete), else 0.
  * Call as `return finish(ctx);`.
  */
 int finish(const BenchContext &ctx);

@@ -1,111 +1,72 @@
 /**
  * @file
- * Length-prefixed frame protocol for coordinator<->worker wires.
+ * Fork-per-shard process isolation for suite sweeps.
  *
- * Every message is one frame: a 4-byte little-endian payload length,
- * a 1-byte type, a 4-byte little-endian FNV-1a checksum of the type
- * and payload, then a space-separated text payload.  Text keeps the
- * protocol debuggable with strace/hexdump and sidesteps struct
- * padding/endianness concerns; the only binary-sensitive data (the
- * SimStats doubles) already travels as IEEE-754 bit patterns via
- * encodeSimStats.  Frames are small — the largest is a Grant listing
- * a shard's workload indices — so a 16 MiB length cap cleanly
- * separates "peer is ahead of us" from "stream is garbage" after a
- * truncated write desyncs a connection.  The checksum closes the
- * nastier half-write hole: when a torn frame's header survives
- * intact, the bytes of the *next* frame would otherwise splice into
- * its payload and parse as a plausible-but-wrong message; with the
- * checksum, any splice surfaces as Corrupt and the connection (never
- * the data) is what gets dropped.
+ * runShards() forks one child process per shard.  Each child runs its
+ * shard and streams every finished job back to the parent over a pipe
+ * as one frame: a 4-byte little-endian payload length, a 1-byte type
+ * (always the Result frame), a 4-byte little-endian FNV-1a checksum of
+ * the type and payload, then a text payload.  The parent polls every
+ * child's pipe and hands each intact frame to its caller.
+ *
+ * A 16 MiB length cap separates "more bytes are coming" from "the
+ * stream is garbage" after a torn write.  The checksum closes the
+ * other half-write hole: when a torn frame's header survives, the
+ * bytes of the next frame would splice into its payload and parse as
+ * a plausible but wrong result.  With the checksum any splice shows up
+ * as corruption, and the parent drops the child, never the data.
+ *
+ * A child that dies, sends a corrupt frame, or cannot be forked is
+ * reported back as a lost shard; the frames it delivered before that
+ * stay delivered.  The caller re-runs whatever is still missing.
  */
 
 #ifndef CHIRP_DIST_WIRE_HH
 #define CHIRP_DIST_WIRE_HH
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
+#include <functional>
 #include <string_view>
+#include <vector>
 
 namespace chirp::dist
 {
 
-/** Message types; values are stable wire constants. */
-enum class FrameType : std::uint8_t
-{
-    Hello = 1,     //!< worker -> coordinator: "id <id-or-65535>"
-    HelloAck = 2,  //!< coordinator -> worker: "id <assigned id>"
-    Announce = 3,  //!< worker: "<seq> <workloads> <policies> <fp>"
-    Begin = 4,     //!< coordinator: suite <seq> is distributed
-    Skip = 5,      //!< coordinator: run suite <seq> locally (zeros)
-    Grant = 6,     //!< coordinator: "<seq> <shard> <w0> <w1> ..."
-    Result = 7,    //!< worker: one finished job (see fabric.cc)
-    ShardDone = 8, //!< worker: "<seq> <shard> <timedout>"
-    SuiteOver = 9, //!< coordinator: suite <seq> settled; move on
-    Ping = 10,     //!< worker heartbeat (empty payload)
-    Log = 11,      //!< worker: one log line for the shared stderr
-};
+/**
+ * Child side: send one result payload to the parent.  Exits the child
+ * process when the write fails (the parent is gone).  Sends go through
+ * FaultInjector::onWireSend, so an armed msg-truncate action cuts the
+ * frame short mid-write and the child keeps running against a desynced
+ * stream, just like a process whose write was torn by a crash.
+ */
+using ShardEmit = std::function<void(std::string_view payload)>;
 
-/** Largest payload a well-formed peer ever sends. */
-constexpr std::size_t kMaxFramePayload = 16u << 20;
+/** Runs shard @p shard inside its child; reports results via @p emit. */
+using ShardBody =
+    std::function<void(std::size_t shard, const ShardEmit &emit)>;
 
 /**
- * Write one frame to @p fd, looping over partial writes.  Returns
- * false when the peer is gone (EPIPE/EOF) or the write failed; the
- * caller treats that as a dead connection.  Worker processes route
- * sends through FaultInjector::onWireSend, so an armed msg-truncate
- * action cuts the frame short mid-write (and this still returns
- * true: the wire *looks* fine to the faulty worker, exactly like a
- * real half-written crash).
+ * Parent side: receives one intact payload from shard @p shard's child,
+ * in the order the child sent them.  Returning false rejects the
+ * payload as malformed, and the child is then treated as corrupt.
  */
-bool sendFrame(int fd, FrameType type, std::string_view payload);
-
-/** One parsed frame. */
-struct Frame
-{
-    FrameType type = FrameType::Ping;
-    std::string payload;
-};
+using ShardDelivery =
+    std::function<bool(std::size_t shard, std::string_view payload)>;
 
 /**
- * Per-connection incremental parser: feed() pulls whatever bytes are
- * available into an internal buffer, next() extracts complete frames.
- * The coordinator polls many readers; workers block in recv().
+ * Fork @p shards children, child i running @p body(i, emit), and merge
+ * their frames through @p deliver on the calling thread.  Call it only
+ * while the process is single-threaded.  A child _exits(0) when @p body
+ * returns and _exits(1) when @p body throws or a send fails.  A corrupt
+ * child is killed at once.  Every child is reaped before returning.
+ *
+ * @return the shards whose child could not be forked, died (non-zero
+ *         exit or a signal), or sent a corrupt or truncated frame, in
+ *         ascending order.
  */
-class FrameReader
-{
-  public:
-    explicit FrameReader(int fd) : fd_(fd) {}
-
-    int fd() const { return fd_; }
-
-    enum class Status
-    {
-        Ok,      //!< read some bytes (or would block)
-        Eof,     //!< peer closed the connection
-        Corrupt, //!< stream desynced (bad type / absurd length)
-    };
-
-    /** One read() into the buffer; never blocks longer than read(). */
-    Status feed();
-
-    /** Extract one complete frame; false when more bytes are needed. */
-    bool next(Frame &out);
-
-    /** Whether the stream has desynced (next() hit garbage). */
-    bool corrupt() const { return corrupt_; }
-
-    /**
-     * Block up to @p timeout_ms for one frame (worker side).  Returns
-     * Ok with @p out filled, Eof, or Corrupt; on timeout returns Ok
-     * with @p got_frame false.
-     */
-    Status recv(Frame &out, bool &got_frame, int timeout_ms);
-
-  private:
-    int fd_;
-    std::string buf_;
-    bool corrupt_ = false;
-};
+std::vector<std::size_t> runShards(std::size_t shards,
+                                   const ShardBody &body,
+                                   const ShardDelivery &deliver);
 
 } // namespace chirp::dist
 

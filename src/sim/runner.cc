@@ -3,19 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <condition_variable>
+#include <cstdio>
 #include <future>
 #include <thread>
 
 #include "core/chirp.hh"
 #include "core/ghrp.hh"
-#include "dist/fabric.hh"
+#include "dist/wire.hh"
 #include "sim/replay_streams.hh"
 #include "sim/run_journal.hh"
 #include "sim/simulator.hh"
 #include "trace/ingest/ingest.hh"
 #include "util/fault_injection.hh"
-#include "util/hashing.hh"
 #include "util/logging.hh"
 #include "util/progress.hh"
 #include "util/stats.hh"
@@ -77,32 +78,13 @@ bindReplayStreams(const std::vector<PolicyFactory> &factories,
 }
 
 /**
- * Fingerprint one suite call for the distributed fabric's announce
- * handshake: coordinator and workers rebuild the same world from the
- * same binary and arguments, and this hash (call number, workload
- * set, policy count) is how a diverged worker gets caught before its
- * results can poison a byte-identical merge.
- */
-std::uint64_t
-suiteCallFingerprint(std::uint64_t seq,
-                     const std::vector<WorkloadConfig> &suite,
-                     std::size_t policies)
-{
-    std::uint64_t fp = hashCombine(mix64(seq), policies);
-    for (const WorkloadConfig &workload : suite)
-        fp = hashCombine(fp, RunJournal::jobKey(0, workload, 0));
-    return fp;
-}
-
-/**
  * Cancels jobs whose current attempt exceeds the --job-timeout
  * budget.  One slot per concurrently-guarded job; a scan thread wakes
  * a few times per timeout period, and an overrunning attempt is
  * flagged, warned about once, and has its cancel token raised — the
  * simulator polls the token at its cancellation points and aborts the
  * attempt with JobCancelled, which the guard records as timed-out
- * (never retried; under the distributed fabric the job's shard is
- * requeued instead).  Inert (no thread, no locking) when the timeout
+ * (never retried).  Inert (no thread, no locking) when the timeout
  * is 0.
  */
 class Watchdog
@@ -279,6 +261,48 @@ runGuarded(unsigned retries, Watchdog &dog, std::size_t slot,
 }
 
 /**
+ * One forked job outcome as a Result frame payload: "<w> <p> <ok>
+ * <timed out> <hung> <attempts> <wall ns> <text>", where the text is
+ * encodeSimStats of @p stats when the job succeeded and its error
+ * message otherwise.  The stats round-trip bit-exactly.
+ */
+std::string
+encodeOutcome(std::size_t w, std::size_t p, const GuardOutcome &out,
+              const SimStats &stats)
+{
+    char head[160];
+    std::snprintf(head, sizeof(head),
+                  "%zu %zu %d %d %d %u %" PRIu64 " ", w, p,
+                  out.ok ? 1 : 0, out.timedOut ? 1 : 0, out.hung ? 1 : 0,
+                  out.attempts, out.wallNs);
+    return head + (out.ok ? encodeSimStats(stats) : out.error);
+}
+
+/** Inverse of encodeOutcome; false on a malformed payload. */
+bool
+decodeOutcome(std::string_view payload, std::size_t &w, std::size_t &p,
+              GuardOutcome &out, SimStats &stats)
+{
+    const std::string text(payload);
+    int ok = 0, timed_out = 0, hung = 0, off = -1;
+    if (std::sscanf(text.c_str(), "%zu %zu %d %d %d %u %" SCNu64 "%n",
+                    &w, &p, &ok, &timed_out, &hung, &out.attempts,
+                    &out.wallNs, &off) != 7 ||
+        off < 0)
+        return false;
+    out.ok = ok != 0;
+    out.timedOut = timed_out != 0;
+    out.hung = hung != 0;
+    const std::size_t body = static_cast<std::size_t>(off) + 1;
+    const std::string rest = body < text.size() ? text.substr(body) : "";
+    if (!out.ok) {
+        out.error = rest;
+        return true;
+    }
+    return decodeSimStats(rest, stats);
+}
+
+/**
  * Per-suite-run collector: forwards every outcome to the shared
  * SuiteHealth ledger and prints one failure summary when the run
  * finishes, so a long bench says what broke right where it broke.
@@ -412,6 +436,28 @@ SuiteHealth::failureCount() const
     return failures_.size();
 }
 
+void
+SuiteHealth::addLostWorkers(std::uint64_t workers, std::uint64_t rerun)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    lostWorkers_ += workers;
+    rerunWorkloads_ += rerun;
+}
+
+std::uint64_t
+SuiteHealth::lostWorkers() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return lostWorkers_;
+}
+
+std::uint64_t
+SuiteHealth::rerunWorkloads() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return rerunWorkloads_;
+}
+
 Runner::Runner(const SimConfig &config, unsigned jobs)
     : config_(config), jobs_(jobs),
       store_(std::make_shared<TraceStore>()),
@@ -459,48 +505,26 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
     // skip simulation entirely, so observer-derived data (diagnostic
     // counters read off the live policy) would silently go missing.
     RunJournal *journal = observer ? nullptr : journal_.get();
-    dist::SweepFabric *fabric = fabric_.get();
-    if (fabric && fabric->isWorker())
-        journal = nullptr; // worker scratch runs are never resumed
-    // The suite sequence number keys the journal and names this call
-    // on the wire.  It must advance identically across serial runs,
-    // coordinators, and workers, so every suite call bumps exactly
-    // one counter: the fabric's when one is attached, the shared
-    // journal's otherwise (even for observer calls that bypass the
-    // journal, so the numbering cannot depend on the mode).
-    std::uint64_t seq = 0;
-    if (fabric)
-        seq = fabric->nextSuiteSeq();
-    else if (journal_)
-        seq = journal_->nextSuiteSeq();
-
-    const bool distributable = !observer;
-    if (fabric && fabric->isWorker() && !distributable) {
-        // Only the coordinator's CSVs are real; workers answer
-        // non-distributable calls with zero-shaped results.
-        for (std::size_t p = 0; p < factories.size(); ++p)
-            for (std::size_t w = 0; w < suite.size(); ++w)
-                results[p][w].workload = suite[w];
-        return results;
-    }
-    if (fabric && fabric->isCoordinator() && !distributable)
-        fabric->skipSuite(seq);
+    // The suite sequence number keys the journal.  Every call bumps
+    // it, observer calls included, so the numbering cannot depend on
+    // the mode.
+    const std::uint64_t seq = journal_ ? journal_->nextSuiteSeq() : 0;
 
     RunLedger ledger(label.empty() ? "policies" : label, health_,
                      journal != nullptr);
-    Watchdog dog(resilience_.jobTimeoutMs,
-                 suite.size() * factories.size());
+    const std::size_t slots = suite.size() * factories.size();
     auto tag_of = [&](std::size_t p) {
         return p < tags.size() ? tags[p] : "p" + std::to_string(p);
     };
-    // On a participating worker this streams every guarded outcome
-    // (stats or error text) back to the coordinator; empty otherwise.
-    std::function<void(std::size_t, std::size_t, const GuardOutcome &)>
-        remote_report;
-    auto add_outcome = [&](std::size_t w, std::size_t p,
-                           const GuardOutcome &out) {
-        if (remote_report)
-            remote_report(w, p, out);
+    // Settles one finished job in this process: journal, health
+    // ledger and progress.  Outcomes from forked workers land here
+    // too, so a merged run fills exactly what a local one would.
+    auto settle = [&](std::size_t w, std::size_t p,
+                      const GuardOutcome &out) {
+        if (out.ok && journal) {
+            journal->record(RunJournal::jobKey(seq, suite[w], p),
+                            results[p][w].stats);
+        }
         JobResult job;
         job.workload = suite[w].name;
         job.policy = tag_of(p);
@@ -533,10 +557,10 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
     //
     // The resume scan runs up front (not per-workload) so the set of
     // pending workloads is known before execution starts: that set is
-    // what a coordinator shards across fabric workers, with remote
-    // deliveries marked in the same done/missing arrays journal hits
-    // are.  Plain byte flags, not vector<bool>: columns of `done` are
-    // touched from different pool workers.
+    // what forked workers split, with their deliveries marked in the
+    // same done/missing arrays journal hits are.  Plain byte flags,
+    // not vector<bool>: columns of `done` are touched from different
+    // pool workers.
     std::vector<std::vector<char>> done(
         factories.size(), std::vector<char>(suite.size(), 0));
     std::vector<std::size_t> missing(suite.size(), factories.size());
@@ -561,9 +585,12 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
     const std::vector<StreamBinding> bindings =
         bindReplayStreams(factories, sets, assoc, plan);
 
-    auto run_workload = [&](std::size_t w) {
+    // Runs workload w's pending jobs under @p dog and hands each
+    // guarded outcome to @p report.
+    auto run_workload = [&](Watchdog &dog, std::size_t w,
+                            const auto &report) {
         if (missing[w] == 0)
-            return; // fully resumed or remotely delivered
+            return; // fully resumed
 
         SharedTrace trace;
         std::vector<L2Event> events;
@@ -590,7 +617,7 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
             // fails with the recorder's error.
             for (std::size_t p = 0; p < factories.size(); ++p) {
                 if (!done[p][w])
-                    add_outcome(w, p, rec_out);
+                    report(w, p, rec_out);
             }
             store.drop(suite[w]);
             return;
@@ -671,96 +698,68 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
                     if (observer)
                         observer(p, w, sim);
                 });
-            if (out.ok && journal) {
-                journal->record(RunJournal::jobKey(seq, suite[w], p),
-                                results[p][w].stats);
-            }
-            add_outcome(w, p, out);
+            report(w, p, out);
         }
         store.drop(suite[w]);
     };
 
-    if (fabric && fabric->isWorker()) {
-        // Worker end: announce this suite call, then execute granted
-        // shards through the very same run_workload the coordinator
-        // would have used, streaming each guarded outcome back.
-        const std::uint64_t fp =
-            suiteCallFingerprint(seq, suite, factories.size());
-        if (fabric->announceSuite(seq, suite.size(), factories.size(),
-                                  fp) ==
-            dist::SweepFabric::SuiteRole::Skip)
-            return results; // zero-shaped; coordinator kept it local
-        remote_report = [&](std::size_t w, std::size_t p,
-                            const GuardOutcome &out) {
-            dist::RemoteOutcome remote;
-            remote.ok = out.ok;
-            remote.timedOut = out.timedOut;
-            remote.hung = out.hung;
-            remote.attempts = out.attempts;
-            remote.wallNs = out.wallNs;
-            remote.payload = out.ok
-                                 ? encodeSimStats(results[p][w].stats)
-                                 : out.error;
-            fabric->reportJob(seq, w, p, remote);
-        };
-        fabric->workerRunSuite(
-            seq, [&](std::size_t w) { run_workload(w); });
-        ledger.summarize();
-        return results;
-    }
-
-    // Coordinator end: shard the pending workloads across attached
-    // workers; whatever the fabric cannot place (no workers, crashed
-    // shards past their attempt budget) comes back for the ordinary
-    // in-process path below.  Remote results land through `deliver`
-    // on the fabric's service thread while this thread is parked
-    // inside coordinateSuite — same slots, journal, ledger, and
-    // progress ticks as local execution, so the merged CSV is
-    // byte-identical to a serial run by construction.
     std::vector<std::size_t> work = pending;
-    if (fabric && fabric->isCoordinator() && distributable) {
-        const std::uint64_t fp =
-            suiteCallFingerprint(seq, suite, factories.size());
-        auto deliver = [&](std::size_t w, std::size_t p,
-                           const dist::RemoteOutcome &remote) {
-            if (done[p][w]) {
-                // A partially-resumed workload re-runs wholesale on
-                // the worker; drop the slots the journal already
-                // settled (the fabric can't know about those).
-                return;
-            }
-            GuardOutcome out;
-            out.ok = remote.ok;
-            out.timedOut = remote.timedOut;
-            out.hung = remote.hung;
-            out.attempts = remote.attempts;
-            out.wallNs = remote.wallNs;
-            if (remote.ok) {
-                if (decodeSimStats(remote.payload,
-                                   results[p][w].stats)) {
-                    if (journal)
-                        journal->record(
-                            RunJournal::jobKey(seq, suite[w], p),
-                            results[p][w].stats);
-                } else {
-                    out.ok = false;
-                    out.error = "remote stats failed to decode";
+    if (workers_ > 0 && !observer && !pending.empty()) {
+        // Process isolation: fork one child per shard while no
+        // watchdog or pool thread of this call exists yet.  Each child
+        // runs its shard serially through the same run_workload and
+        // streams every outcome back; the parent settles them exactly
+        // as it settles local jobs, so the merged CSV is byte-identical
+        // to a serial run.  A child never touches the journal, ledger
+        // or progress reporter: it _exits when its shard is done.
+        const std::size_t shards =
+            std::min<std::size_t>(workers_, pending.size());
+        const std::vector<std::size_t> lost = dist::runShards(
+            shards,
+            [&](std::size_t shard, const dist::ShardEmit &emit) {
+                FaultInjector::instance().setWorkerId(
+                    static_cast<int>(shard));
+                Watchdog dog(resilience_.jobTimeoutMs, slots);
+                for (std::size_t k = shard; k < pending.size();
+                     k += shards) {
+                    run_workload(dog, pending[k],
+                                 [&](std::size_t w, std::size_t p,
+                                     const GuardOutcome &out) {
+                                     emit(encodeOutcome(
+                                         w, p, out,
+                                         results[p][w].stats));
+                                 });
                 }
-            } else {
-                out.error = remote.payload;
-            }
-            done[p][w] = 1;
-            --missing[w];
-            add_outcome(w, p, out);
-        };
-        work = fabric->coordinateSuite(seq, suite.size(),
-                                       factories.size(), fp, pending,
-                                       deliver);
+            },
+            [&](std::size_t, std::string_view payload) {
+                std::size_t w = 0, p = 0;
+                GuardOutcome out;
+                SimStats stats;
+                if (!decodeOutcome(payload, w, p, out, stats) ||
+                    w >= suite.size() || p >= factories.size())
+                    return false;
+                if (done[p][w])
+                    return true; // settled already; keep the first
+                if (out.ok)
+                    results[p][w].stats = stats;
+                done[p][w] = 1;
+                --missing[w];
+                settle(w, p, out);
+                return true;
+            });
+        // Whatever a lost child left unfinished runs in-process below.
+        work.clear();
+        for (const std::size_t w : pending)
+            if (missing[w] > 0)
+                work.push_back(w);
+        if (!lost.empty() || !work.empty())
+            health_->addLostWorkers(lost.size(), work.size());
     }
 
+    Watchdog dog(resilience_.jobTimeoutMs, slots);
     if (jobs <= 1 || work.size() <= 1) {
         for (std::size_t w : work)
-            run_workload(w);
+            run_workload(dog, w, settle);
         ledger.summarize();
         return results;
     }
@@ -774,7 +773,8 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
     std::vector<std::future<void>> in_flight;
     in_flight.reserve(work.size());
     for (std::size_t w : work)
-        in_flight.push_back(pool.submit([&, w] { run_workload(w); }));
+        in_flight.push_back(
+            pool.submit([&, w] { run_workload(dog, w, settle); }));
     // Jobs never throw (failures land in the ledger), so get() here
     // is pure synchronization.
     for (std::future<void> &job : in_flight)

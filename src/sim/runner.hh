@@ -23,11 +23,6 @@
 namespace chirp
 {
 
-namespace dist
-{
-class SweepFabric;
-}
-
 class RunJournal;
 class Simulator;
 
@@ -76,8 +71,7 @@ struct ResilienceOptions
      * Wall-time budget per job attempt; 0 disables the watchdog.
      * Enforcing: an attempt exceeding the budget is cancelled (the
      * simulator aborts at its next cancellation point), recorded as
-     * timed-out, and not retried — under the distributed fabric its
-     * shard is requeued instead.
+     * timed-out, and not retried.  Forked workers enforce it too.
      */
     std::uint64_t jobTimeoutMs = 0;
 };
@@ -105,6 +99,15 @@ class SuiteHealth
     std::vector<JobResult> failures() const;
     std::size_t failureCount() const;
 
+    /**
+     * Forked workers (see Runner::setWorkers) that died, sent a
+     * corrupt frame or could not be forked, and the workloads they
+     * left unfinished that then re-ran in-process.
+     */
+    void addLostWorkers(std::uint64_t workers, std::uint64_t rerun);
+    std::uint64_t lostWorkers() const;
+    std::uint64_t rerunWorkloads() const;
+
   private:
     mutable std::mutex mutex_;
     std::vector<JobResult> failures_;
@@ -114,6 +117,8 @@ class SuiteHealth
     std::uint64_t hung_ = 0;
     std::uint64_t timedOut_ = 0;
     std::uint64_t retried_ = 0;
+    std::uint64_t lostWorkers_ = 0;
+    std::uint64_t rerunWorkloads_ = 0;
 };
 
 /** Drives suites of workloads through the simulator. */
@@ -162,7 +167,9 @@ class Runner
      * @p observer, when set, is invoked after each job (see
      * SimObserver) and disables the run journal for this call:
      * resumed jobs skip simulation, so any observer-derived data
-     * would silently go missing.  @p tags, when non-empty, names each
+     * would silently go missing.  It also keeps the call in-process
+     * (see setWorkers): the observer needs the live Simulator.
+     * @p tags, when non-empty, names each
      * factory in failure summaries (defaults to "p<idx>").
      */
     std::vector<std::vector<WorkloadResult>>
@@ -207,27 +214,22 @@ class Runner
     void setHealth(std::shared_ptr<SuiteHealth> health);
 
     /**
-     * Attach a sweep fabric end.  On a coordinator, distributable
-     * runSuiteMulti calls shard their pending workloads across
-     * attached workers (merging streamed results into the same
-     * slots, journal, and health ledger a local run fills) and fall
-     * back to in-process execution for whatever the fabric hands
-     * back.  On a worker, suite calls announce themselves and execute
-     * granted shards, streaming every job outcome to the coordinator;
-     * non-distributable calls (observer attached) return zero-shaped
-     * results immediately — only the coordinator's CSVs are real.
-     * nullptr detaches.
+     * Process isolation for suite runs: with @p workers > 0, each
+     * runSuiteMulti call without an observer splits its pending
+     * workloads round-robin into min(workers, pending) shards and
+     * forks one child process per shard.  Children run their shard
+     * serially and stream every job outcome back; the parent merges
+     * them into the same slots, journal, health ledger and progress
+     * ticks an in-process run fills, so results stay bit-identical.
+     * Workloads a dead or corrupt child left unfinished re-run
+     * in-process at the configured job count.  0 (the default) runs
+     * everything in-process.  Such calls fork, so they must come from
+     * a single-threaded process.
      */
-    void setFabric(std::shared_ptr<dist::SweepFabric> fabric)
-    {
-        fabric_ = std::move(fabric);
-    }
+    void setWorkers(unsigned workers) { workers_ = workers; }
 
-    /** The attached sweep fabric end, if any. */
-    const std::shared_ptr<dist::SweepFabric> &fabric() const
-    {
-        return fabric_;
-    }
+    /** Forked worker processes per suite run (see setWorkers). */
+    unsigned workers() const { return workers_; }
 
     /** The health ledger for this runner's suite runs. */
     const std::shared_ptr<SuiteHealth> &health() const
@@ -246,7 +248,7 @@ class Runner
     std::shared_ptr<TraceStore> store_;
     std::shared_ptr<RunJournal> journal_;
     std::shared_ptr<SuiteHealth> health_;
-    std::shared_ptr<dist::SweepFabric> fabric_;
+    unsigned workers_ = 0;
 };
 
 /**

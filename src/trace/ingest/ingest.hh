@@ -67,8 +67,8 @@ const char *externalTraceFormatName(ExternalTraceFormat format);
 
 /**
  * The format from CHIRP_TRACE_IN_FORMAT (unset/empty means Auto);
- * fatal on unrecognized values.  Read fresh each call so --workers
- * children inherit the coordinator's choice through the environment.
+ * fatal on unrecognized values.  Read fresh on each call, so a
+ * --trace-in-format flag parsed after start-up takes effect.
  */
 ExternalTraceFormat externalTraceFormatFromEnv();
 

@@ -14,8 +14,8 @@
  *
  * The column layout is exactly ColumnarTrace's in-memory layout, so a
  * cached trace can be mapped read-only (mapTraceFile) and replayed in
- * place: the coordinator and every --workers process on a host then
- * share one physical copy of each trace through the page cache.
+ * place: every bench process and forked --workers child on a host
+ * then shares one physical copy of each trace through the page cache.
  * Per-column checksums keep the quarantine story of the streaming
  * tier: any flipped byte in any column is caught before (mmap) or by
  * the end of (streaming) the first replay.

@@ -93,8 +93,7 @@ FaultInjector::isJobKind(Kind kind)
 bool
 FaultInjector::isWorkerKind(Kind kind)
 {
-    return kind == Kind::WorkerCrash || kind == Kind::WorkerStall ||
-           kind == Kind::MsgTruncate;
+    return kind == Kind::WorkerCrash || kind == Kind::MsgTruncate;
 }
 
 void
@@ -138,8 +137,6 @@ FaultInjector::configure(const std::string &spec)
             action.kind = Kind::CacheBitFlip;
         else if (kind == "worker-crash")
             action.kind = Kind::WorkerCrash;
-        else if (kind == "worker-stall")
-            action.kind = Kind::WorkerStall;
         else if (kind == "msg-truncate")
             action.kind = Kind::MsgTruncate;
         else if (kind == "chunk-throw")
@@ -148,7 +145,7 @@ FaultInjector::configure(const std::string &spec)
             chirp_fatal("CHIRP_FAULT: unknown action '", kind,
                         "' (expected throw, hard-throw, slow, crash, "
                         "cache-truncate, cache-bitflip, worker-crash, "
-                        "worker-stall, msg-truncate, or chunk-throw)");
+                        "msg-truncate, or chunk-throw)");
         actions.push_back(action);
     }
     bool chunk_armed = false;
@@ -189,33 +186,23 @@ FaultInjector::onJobStart()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     const std::uint64_t event = jobEvents_++;
-    // Worker-targeted crash/stall: @N selects a worker id, and the
-    // action fires at that worker's third local job event (see the
-    // header comment), so a shard is always mid-flight with at least
-    // one result already streamed.
+    // Worker-targeted crash: @N selects a worker id, and the action
+    // fires at that worker's third local job event (see the header
+    // comment), so a shard is always mid-flight with at least one
+    // result already streamed.
     for (Action &action : actions_) {
-        if (action.fired || workerId_ < 0 || event != 2 ||
+        if (action.fired || action.kind != Kind::WorkerCrash ||
+            workerId_ < 0 || event != 2 ||
             action.at != static_cast<std::uint64_t>(workerId_))
             continue;
-        if (action.kind == Kind::WorkerCrash) {
-            action.fired = true;
-            const std::uint64_t code = action.hasArg ? action.arg : 137;
-            lock.unlock();
-            std::fprintf(stderr,
-                         "fault injection: worker %d crashing "
-                         "mid-shard\n",
-                         workerId_);
-            std::_Exit(static_cast<int>(code));
-        }
-        if (action.kind == Kind::WorkerStall) {
-            action.fired = true;
-            const std::uint64_t ms = action.hasArg ? action.arg : 20000;
-            lock.unlock();
-            chirp_warn("fault injection: worker ", workerId_,
-                       " stalling for ", ms, " ms");
-            std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-            lock.lock();
-        }
+        action.fired = true;
+        const std::uint64_t code = action.hasArg ? action.arg : 137;
+        const int id = workerId_;
+        lock.unlock();
+        std::fprintf(stderr,
+                     "fault injection: worker %d crashing mid-shard\n",
+                     id);
+        std::_Exit(static_cast<int>(code));
     }
     for (Action &action : actions_) {
         if (action.fired || !isJobKind(action.kind) ||
@@ -273,13 +260,8 @@ FaultInjector::setWorkerId(int id)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     workerId_ = id;
-}
-
-int
-FaultInjector::workerId() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return workerId_;
+    jobEvents_ = 0;
+    wireEvents_ = 0;
 }
 
 std::size_t
@@ -304,13 +286,8 @@ FaultInjector::onWireSend(std::size_t len)
             break;
         }
     }
-    // Raw stderr, not chirp_warn: sendFrame calls this while holding
-    // the fabric's send mutex, and a worker's log sink re-enters
-    // sendFrame (and that mutex) to ship the warning.
     if (truncate) {
-        std::fprintf(stderr,
-                     "warn: fault injection: truncating wire frame %llu\n",
-                     static_cast<unsigned long long>(event));
+        chirp_warn("fault injection: truncating wire frame ", event);
         return len / 2;
     }
     return len;

@@ -35,22 +35,21 @@
  *   cache-bitflip@N[:OFFSET]  XOR one bit at OFFSET (default middle)
  *                             of the Nth published trace-cache file
  *
- * Worker-targeted actions (distributed sweeps): here @N selects a
- * *worker id*, not an event index.  They fire only in the process
- * whose fabric worker id (setWorkerId) equals N — since CHIRP_FAULT
- * is inherited by every spawned worker, one spec can single out one
- * worker of a fleet.  crash/stall fire at that worker's third local
- * job event — mid-shard, after the recorder and one replay have
- * completed, so at least one result has streamed back; truncate
+ * Worker-targeted actions (--workers sweeps): here @N selects a
+ * *worker*, not an event index.  Runner::setWorkers forks one child
+ * per shard, and child i takes shard index i as its worker id
+ * (setWorkerId), restarting its job and wire event counts from 0.
+ * The actions fire only in the child whose id equals N; the parent
+ * (id -1) never fires them.  worker-crash fires at that child's third
+ * local job event — mid-shard, after the recorder and one replay have
+ * completed, so at least one result has streamed back; msg-truncate
  * fires on an outgoing wire frame.
  *
  *   worker-crash@N[:CODE]  worker N _Exit(CODE)s (default 137) as if
  *                          kill -9'd mid-shard
- *   worker-stall@N[:MS]    worker N sleeps MS ms (default 20000),
- *                          long enough to blow any sane lease
- *   msg-truncate@N[:K]     worker N truncates its Kth (default 3rd)
- *                          outgoing wire frame mid-write, desyncing
- *                          the stream so the coordinator drops it
+ *   msg-truncate@N[:K]     worker N truncates its Kth (from 0; default
+ *                          3) outgoing wire frame mid-write, desyncing
+ *                          the stream so the parent drops the worker
  *
  * Example: CHIRP_FAULT=throw@3,cache-bitflip@0
  * Example: CHIRP_FAULT=worker-crash@1
@@ -137,13 +136,11 @@ class FaultInjector
     void onBatchChunk();
 
     /**
-     * Identify this process as fabric worker @p id (-1: not a
-     * worker).  Arms the worker-targeted action family.
+     * Identify this process as forked worker @p id (-1: not a
+     * worker) and restart the job and wire event counts from 0.  Arms
+     * the worker-targeted action family.
      */
     void setWorkerId(int id);
-
-    /** The fabric worker id, or -1 outside worker processes. */
-    int workerId() const;
 
     /**
      * Count one outgoing wire frame of @p len bytes and return how
@@ -170,7 +167,6 @@ class FaultInjector
         CacheTruncate,
         CacheBitFlip,
         WorkerCrash,
-        WorkerStall,
         MsgTruncate,
         ChunkThrow,
     };

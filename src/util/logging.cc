@@ -65,9 +65,8 @@ emitLine(const std::string &line)
 [[noreturn]] void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    // Both routes on purpose: the sink forwards the reason to the
-    // coordinator, stderr keeps a local trace in case the connection
-    // is already gone.
+    // Both routes on purpose: the sink gets the reason, and stderr
+    // keeps a trace in case the sink does not survive the exit.
     if (logSinkInstalled())
         emitLine("fatal: " + msg);
     std::fprintf(stderr, "fatal: %s\n  at %s:%d\n", msg.c_str(), file, line);

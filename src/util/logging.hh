@@ -27,11 +27,9 @@ using LogSink = std::function<void(const std::string &line)>;
  * Install a process-wide log sink.  When set, warn/inform lines (and
  * the progress reporter's lines) are handed to the sink instead of
  * being written to stderr directly; fatal still writes stderr as well,
- * since the sink may not survive the exit path.  The distributed
- * sweep fabric installs a sink in worker processes so every worker
- * line travels to the coordinator, which prefixes it with the worker
- * id and serializes all workers onto one stderr stream.  Pass an
- * empty function to restore direct stderr output.
+ * since the sink may not survive the exit path.  Tests install one to
+ * capture warnings.  Pass an empty function to restore direct stderr
+ * output.
  */
 void setLogSink(LogSink sink);
 

@@ -11,11 +11,9 @@
  * every ~10% of the batch plus one at completion.  A reporter with an
  * empty label is silent, so tests and library callers stay quiet.
  *
- * When a process-wide log sink is installed (setLogSink — worker
- * processes of a distributed sweep do this) the reporter always uses
- * line mode and emits through the sink, so progress from many workers
- * reaches the coordinator as complete lines it can prefix with the
- * worker id instead of interleaved \r fragments on a shared terminal.
+ * When a process-wide log sink is installed (setLogSink) the reporter
+ * always uses line mode and emits through the sink, so the sink only
+ * ever sees complete lines, never \r fragments.
  */
 
 #ifndef CHIRP_UTIL_PROGRESS_HH

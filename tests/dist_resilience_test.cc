@@ -1,34 +1,27 @@
 /**
  * @file
- * Distributed sweep-fabric resilience tests.  Each test forks real
- * worker processes around socketpairs *before* creating the
- * coordinator fabric (fork and threads don't mix), then asserts the
- * merged result grid is bit-identical to a serial single-process
- * reference — with healthy workers, with a worker kill -9'd
- * mid-shard, with a worker desyncing the wire protocol, with no
- * workers at all (graceful degradation), and when resuming a
- * partially-journaled run through the fabric.  The shard ledger's
- * crash trail is covered directly.
+ * Resilience tests for forked suite workers (Runner::setWorkers).
+ * Each test runs a sweep with workers and asserts the result grid is
+ * bit-identical to a serial single-process reference, with every job
+ * ok: with healthy workers, with a worker killed mid-shard, with a
+ * worker desyncing the wire, and when resuming a partially journaled
+ * run.  An observer call must stay in-process and see every job.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "core/policy_factory.hh"
-#include "dist/fabric.hh"
-#include "dist/shard_ledger.hh"
 #include "sim/run_journal.hh"
 #include "sim/runner.hh"
 #include "util/fault_injection.hh"
-#include "util/subprocess.hh"
 
 namespace chirp
 {
@@ -52,10 +45,10 @@ fastConfig()
 }
 
 std::vector<WorkloadConfig>
-smallSuite(std::size_t size = 4)
+smallSuite()
 {
     SuiteOptions options;
-    options.size = size;
+    options.size = 4;
     options.traceLength = 40000;
     return makeSuite(options);
 }
@@ -67,17 +60,13 @@ twoPolicies()
             Runner::factoryFor(PolicyKind::Chirp)};
 }
 
-/** Fast fabric knobs so failure paths resolve in test time. */
-dist::FabricOptions
-testOptions()
+/** A runner forking @p workers children per suite run. */
+Runner
+forkingRunner(unsigned workers)
 {
-    dist::FabricOptions opts;
-    opts.shardWorkloads = 1; // one workload per shard: real dispatch
-    opts.heartbeatMs = 100;
-    opts.workerTimeoutMs = 2000;
-    opts.leaseMs = 4000;
-    opts.backoffMs = 50;
-    return opts;
+    Runner runner(fastConfig(), 1);
+    runner.setWorkers(workers);
+    return runner;
 }
 
 void
@@ -100,166 +89,69 @@ expectGridIdentical(
     }
 }
 
-struct WorkerProc
+/** Serial reference grid for the small suite. */
+std::vector<std::vector<WorkloadResult>>
+serialReference()
 {
-    pid_t pid = -1;
-    int fd = -1; //!< coordinator's end of the wire
-};
-
-/**
- * Fork one worker process running the same suite sweep this test's
- * coordinator will issue.  Must be called before any fabric (and so
- * any thread) exists in the parent.  The child arms @p fault, runs
- * the sweep as fabric worker @p id, and _Exit(0)s; it only ever
- * leaves via _Exit, never through gtest.
- */
-WorkerProc
-forkWorker(unsigned id, const std::vector<WorkloadConfig> &suite,
-           const std::vector<PolicyFactory> &factories,
-           const std::string &fault = "")
-{
-    int fds[2];
-    std::string error;
-    if (!makeSocketPair(fds, &error)) {
-        ADD_FAILURE() << error;
-        return {};
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ADD_FAILURE() << "fork failed";
-        return {};
-    }
-    if (pid == 0) {
-        ::close(fds[0]);
-        if (!fault.empty())
-            FaultInjector::instance().configure(fault);
-        auto fabric = dist::SweepFabric::makeWorker(fds[1], id,
-                                                    testOptions());
-        FaultInjector::instance().setWorkerId(static_cast<int>(id));
-        Runner runner(fastConfig(), 1);
-        runner.setFabric(fabric);
-        runner.runSuiteMulti(suite, factories);
-        std::_Exit(0);
-    }
-    ::close(fds[1]);
-    return {pid, fds[0]};
+    const Runner serial(fastConfig(), 1);
+    return serial.runSuiteMulti(smallSuite(), twoPolicies());
 }
 
-void
-reap(const WorkerProc &worker)
-{
-    if (worker.pid > 0)
-        ::waitpid(worker.pid, nullptr, 0);
-}
-
-TEST_F(DistResilienceTest, DistributedSweepMatchesSerial)
+TEST_F(DistResilienceTest, ForkedSweepMatchesSerial)
 {
     const auto suite = smallSuite();
-    const auto factories = twoPolicies();
-    const Runner serial(fastConfig(), 1);
-    const auto reference = serial.runSuiteMulti(suite, factories);
+    const Runner runner = forkingRunner(2);
+    const auto results = runner.runSuiteMulti(suite, twoPolicies());
 
-    const WorkerProc w0 = forkWorker(0, suite, factories);
-    const WorkerProc w1 = forkWorker(1, suite, factories);
-    auto fabric = dist::SweepFabric::makeCoordinator(testOptions());
-    fabric->adoptWorker(w0.fd);
-    fabric->adoptWorker(w1.fd);
-    Runner runner(fastConfig(), 1);
-    runner.setFabric(fabric);
-    const auto results = runner.runSuiteMulti(suite, factories);
-    reap(w0);
-    reap(w1);
-
-    expectGridIdentical(results, reference);
+    expectGridIdentical(results, serialReference());
     const SuiteHealth &health = *runner.health();
-    EXPECT_EQ(health.okJobs(), suite.size() * factories.size());
+    EXPECT_EQ(health.okJobs(), suite.size() * 2);
     EXPECT_EQ(health.failureCount(), 0u);
-    const dist::FabricStats stats = fabric->stats();
-    EXPECT_EQ(stats.remoteResults, suite.size() * factories.size())
-        << "every job must have executed remotely";
-    EXPECT_EQ(stats.shardsLocal, 0u);
+    EXPECT_EQ(health.lostWorkers(), 0u);
+    EXPECT_EQ(health.rerunWorkloads(), 0u)
+        << "every job must have run in a worker";
 }
 
-TEST_F(DistResilienceTest, WorkerKilledMidShardIsRedispatched)
+TEST_F(DistResilienceTest, WorkerKilledMidShardIsRerunInProcess)
 {
-    const auto suite = smallSuite();
-    const auto factories = twoPolicies();
-    const Runner serial(fastConfig(), 1);
-    const auto reference = serial.runSuiteMulti(suite, factories);
-
     // Worker 0 _Exit(137)s at its third job event — mid-shard, after
     // at least one result already streamed back (exactly a kill -9).
-    const WorkerProc w0 =
-        forkWorker(0, suite, factories, "worker-crash@0");
-    const WorkerProc w1 = forkWorker(1, suite, factories);
-    auto fabric = dist::SweepFabric::makeCoordinator(testOptions());
-    fabric->adoptWorker(w0.fd);
-    fabric->adoptWorker(w1.fd);
-    Runner runner(fastConfig(), 1);
-    runner.setFabric(fabric);
-    const auto results = runner.runSuiteMulti(suite, factories);
-    reap(w0);
-    reap(w1);
+    FaultInjector::instance().configure("worker-crash@0");
+    const auto suite = smallSuite();
+    const Runner runner = forkingRunner(2);
+    const auto results = runner.runSuiteMulti(suite, twoPolicies());
+    FaultInjector::instance().reset();
 
-    expectGridIdentical(results, reference);
+    expectGridIdentical(results, serialReference());
     const SuiteHealth &health = *runner.health();
-    EXPECT_EQ(health.okJobs(), suite.size() * factories.size());
+    EXPECT_EQ(health.okJobs(), suite.size() * 2);
     EXPECT_EQ(health.failureCount(), 0u);
-    const dist::FabricStats stats = fabric->stats();
-    EXPECT_EQ(stats.workersLost, 1u);
-    EXPECT_GE(stats.shardsRequeued, 1u)
-        << "the dead worker's shard must be re-dispatched";
+    EXPECT_EQ(health.lostWorkers(), 1u);
+    // Shard 0 holds workloads 0 and 2; the crash lands inside
+    // workload 0, so neither finished in the worker.
+    EXPECT_EQ(health.rerunWorkloads(), 2u);
 }
 
 TEST_F(DistResilienceTest, WireDesyncDropsWorkerNotResults)
 {
+    // Worker 1 truncates its last Result frame mid-write; the parent
+    // must drop the torn stream and re-run what it lost in-process
+    // rather than merge garbage.
+    FaultInjector::instance().configure("msg-truncate@1");
     const auto suite = smallSuite();
-    const auto factories = twoPolicies();
-    const Runner serial(fastConfig(), 1);
-    const auto reference = serial.runSuiteMulti(suite, factories);
+    const Runner runner = forkingRunner(2);
+    const auto results = runner.runSuiteMulti(suite, twoPolicies());
+    FaultInjector::instance().reset();
 
-    // Worker 1 truncates its first Result frame mid-write; the
-    // coordinator must drop the desynced stream and re-run the shard
-    // elsewhere rather than merge garbage.
-    const WorkerProc w0 = forkWorker(0, suite, factories);
-    const WorkerProc w1 =
-        forkWorker(1, suite, factories, "msg-truncate@1");
-    auto fabric = dist::SweepFabric::makeCoordinator(testOptions());
-    fabric->adoptWorker(w0.fd);
-    fabric->adoptWorker(w1.fd);
-    Runner runner(fastConfig(), 1);
-    runner.setFabric(fabric);
-    const auto results = runner.runSuiteMulti(suite, factories);
-    reap(w0);
-    reap(w1);
-
-    expectGridIdentical(results, reference);
-    EXPECT_EQ(runner.health()->okJobs(),
-              suite.size() * factories.size());
+    expectGridIdentical(results, serialReference());
+    const SuiteHealth &health = *runner.health();
+    EXPECT_EQ(health.okJobs(), suite.size() * 2);
+    EXPECT_EQ(health.failureCount(), 0u);
+    EXPECT_EQ(health.lostWorkers(), 1u);
+    EXPECT_EQ(health.rerunWorkloads(), 1u);
 }
 
-TEST_F(DistResilienceTest, NoWorkersDegradesToInProcess)
-{
-    const auto suite = smallSuite(3);
-    const auto factories = twoPolicies();
-    const Runner serial(fastConfig(), 1);
-    const auto reference = serial.runSuiteMulti(suite, factories);
-
-    auto fabric = dist::SweepFabric::makeCoordinator(testOptions());
-    Runner runner(fastConfig(), 1);
-    runner.setFabric(fabric);
-    const auto results = runner.runSuiteMulti(suite, factories);
-
-    expectGridIdentical(results, reference);
-    const dist::FabricStats stats = fabric->stats();
-    EXPECT_EQ(stats.remoteResults, 0u);
-    EXPECT_EQ(stats.shardsLocal, suite.size())
-        << "every shard must fall back to the runner thread";
-    EXPECT_EQ(runner.health()->okJobs(),
-              suite.size() * factories.size());
-}
-
-TEST_F(DistResilienceTest, ResumedSweepDistributesOnlyMissingJobs)
+TEST_F(DistResilienceTest, ResumedSweepRunsOnlyTheJournalHole)
 {
     const auto suite = smallSuite();
     const auto factories = twoPolicies();
@@ -268,13 +160,10 @@ TEST_F(DistResilienceTest, ResumedSweepDistributesOnlyMissingJobs)
     std::filesystem::remove(path);
     const std::uint64_t fp = 0xd15c0;
 
-    const Runner serial(fastConfig(), 1);
-    const auto reference = serial.runSuiteMulti(suite, factories);
-
     {
         // Seed run: one injected hard fault leaves exactly workload
         // 0's second policy missing from the journal — the same hole
-        // a coordinator killed mid-sweep leaves behind.
+        // a parent killed mid-sweep leaves behind.
         Runner first(fastConfig(), 1);
         first.setJournal(
             std::make_shared<RunJournal>(path, fp, /*resume=*/false));
@@ -284,56 +173,40 @@ TEST_F(DistResilienceTest, ResumedSweepDistributesOnlyMissingJobs)
     }
     FaultInjector::instance().reset();
 
-    const WorkerProc w0 = forkWorker(0, suite, factories);
-    auto fabric = dist::SweepFabric::makeCoordinator(testOptions());
-    fabric->adoptWorker(w0.fd);
-    Runner resumed(fastConfig(), 1);
-    resumed.setFabric(fabric);
+    Runner resumed = forkingRunner(2);
     auto journal =
         std::make_shared<RunJournal>(path, fp, /*resume=*/true);
-    EXPECT_EQ(journal->loaded(),
-              suite.size() * factories.size() - 1);
+    EXPECT_EQ(journal->loaded(), suite.size() * factories.size() - 1);
     resumed.setJournal(journal);
     const auto results = resumed.runSuiteMulti(suite, factories);
-    reap(w0);
 
-    expectGridIdentical(results, reference);
+    expectGridIdentical(results, serialReference());
     const SuiteHealth &health = *resumed.health();
     EXPECT_EQ(health.okJobs(), suite.size() * factories.size());
-    EXPECT_EQ(health.resumedJobs(),
-              suite.size() * factories.size() - 1)
+    EXPECT_EQ(health.resumedJobs(), suite.size() * factories.size() - 1)
         << "only the missing job re-executes";
-    EXPECT_EQ(fabric->stats().shardsDispatched, 1u)
-        << "one shard: the workload with the journal hole";
+    EXPECT_EQ(health.lostWorkers(), 0u);
+    EXPECT_EQ(health.rerunWorkloads(), 0u);
     std::filesystem::remove(path);
 }
 
-TEST(ShardLedgerTest, ResumeCountsPriorDoneShards)
+TEST_F(DistResilienceTest, ObserverCallStaysInProcess)
 {
-    const std::string path =
-        ::testing::TempDir() + "chirp_test.shards";
-    std::filesystem::remove(path);
-    const std::uint64_t fp = 0x511a7d;
-    {
-        dist::ShardLedger ledger(path, fp, /*resume=*/false);
-        ASSERT_TRUE(ledger.valid());
-        ledger.recordDispatch(0, 0, 1, 2);
-        ledger.recordDispatch(0, 1, 1, 0);
-        ledger.recordRequeue(0, 1, 1, "connection closed");
-        ledger.recordDone(0, 0);
-        ledger.recordDispatch(0, 1, 2, 1);
-        ledger.recordDone(0, 1);
-    }
-    {
-        dist::ShardLedger resumed(path, fp, /*resume=*/true);
-        EXPECT_EQ(resumed.priorDone(), 2u);
-    }
-    {
-        // A different fingerprint is a different run: restart empty.
-        dist::ShardLedger other(path, fp + 1, /*resume=*/true);
-        EXPECT_EQ(other.priorDone(), 0u);
-    }
-    std::filesystem::remove(path);
+    const auto suite = smallSuite();
+    const Runner runner = forkingRunner(2);
+    std::mutex mutex;
+    std::set<std::pair<std::size_t, std::size_t>> seen;
+    const auto results = runner.runSuiteMulti(
+        suite, twoPolicies(), "", [&](std::size_t p, std::size_t w,
+                                      const Simulator &) {
+            std::lock_guard<std::mutex> lock(mutex);
+            seen.emplace(p, w);
+        });
+
+    expectGridIdentical(results, serialReference());
+    EXPECT_EQ(seen.size(), suite.size() * 2)
+        << "the observer must see every (policy, workload) job";
+    EXPECT_EQ(runner.health()->okJobs(), suite.size() * 2);
 }
 
 } // namespace
