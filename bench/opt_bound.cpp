@@ -6,12 +6,15 @@
  * Bélády [68] as the unreachable reference point).
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <future>
 #include <vector>
 
 #include "bench/harness.hh"
 #include "sim/opt_bound.hh"
+#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 using namespace chirp;
@@ -23,29 +26,61 @@ main(int argc, char **argv)
     BenchContext ctx = makeContext(argc, argv, 24, /*mpki_only=*/true);
     printBanner("OPT (Belady) bound vs LRU and CHiRP", ctx);
 
+    // Each workload's trace is materialized once and serves both
+    // passes.  The suite runs in windows of --jobs workloads: the
+    // window's Bélády jobs take their traces from the runner's store
+    // and leave them resident, and the window's runSuiteMulti call
+    // then replays them (forked --workers inherit them) and drops
+    // them.  At most one window of traces is held at a time.
     const Runner runner = ctx.runner();
-    const auto all = runner.runSuiteMulti(
-        ctx.suite,
-        {Runner::factoryFor(PolicyKind::Lru),
-         Runner::factoryFor(PolicyKind::Chirp)},
-        "policies", {}, {"lru", "chirp"});
-    const auto &lru = all[0];
-    const auto &chirp_results = all[1];
-
-    // The Belady pass is independent per workload: run it on --jobs
-    // threads, each taking its trace from the runner's store and
-    // dropping it when done.  Rows go out in suite order below.
     TraceStore &store = runner.traceStore();
-    ThreadPool pool(ctx.jobs);
-    std::vector<std::future<OptBoundResult>> opts;
-    opts.reserve(ctx.suite.size());
-    for (const WorkloadConfig &workload : ctx.suite) {
-        opts.push_back(pool.submit([&store, &workload] {
-            MemoryTraceSource source(store.get(workload), workload.name);
-            const OptBoundResult opt = computeOptBound(source);
+    const std::size_t window =
+        ctx.jobs ? ctx.jobs : ThreadPool::defaultConcurrency();
+    std::vector<OptBoundResult> opt;
+    std::vector<WorkloadResult> lru;
+    std::vector<WorkloadResult> chirp_results;
+    for (std::size_t begin = 0; begin < ctx.suite.size();
+         begin += window) {
+        const std::vector<WorkloadConfig> part(
+            ctx.suite.begin() + begin,
+            ctx.suite.begin() +
+                std::min(begin + window, ctx.suite.size()));
+        {
+            // Scoped: the pool's threads must be gone before
+            // runSuiteMulti forks --workers.
+            ThreadPool pool(static_cast<unsigned>(part.size()));
+            std::vector<std::future<OptBoundResult>> opts;
+            for (const WorkloadConfig &workload : part) {
+                opts.push_back(pool.submit([&store, &workload] {
+                    try {
+                        MemoryTraceSource source(store.get(workload),
+                                                 workload.name);
+                        return computeOptBound(source);
+                    } catch (const std::exception &err) {
+                        // The runner's jobs fail on the same trace
+                        // and mark the run incomplete; the row
+                        // reads 0 like their zeroed stats.
+                        chirp_warn("OPT bound of '", workload.name,
+                                   "' failed: ", err.what());
+                        return OptBoundResult{};
+                    }
+                }));
+            }
+            for (auto &result : opts)
+                opt.push_back(result.get());
+        }
+        auto all = runner.runSuiteMulti(
+            part,
+            {Runner::factoryFor(PolicyKind::Lru),
+             Runner::factoryFor(PolicyKind::Chirp)},
+            "policies", {}, {"lru", "chirp"});
+        lru.insert(lru.end(), all[0].begin(), all[0].end());
+        chirp_results.insert(chirp_results.end(), all[1].begin(),
+                             all[1].end());
+        // The runner drops what it replayed; journaled or lost-worker
+        // workloads may still be resident.
+        for (const WorkloadConfig &workload : part)
             store.drop(workload);
-            return opt;
-        }));
     }
 
     double lru_sum = 0.0;
@@ -54,18 +89,14 @@ main(int argc, char **argv)
     CsvWriter csv("opt_bound.csv");
     csv.row({"workload", "lru_mpki", "chirp_mpki", "opt_mpki"});
     for (std::size_t i = 0; i < ctx.suite.size(); ++i) {
-        const OptBoundResult opt = opts[i].get();
         lru_sum += lru[i].stats.mpki();
         chirp_sum += chirp_results[i].stats.mpki();
-        opt_sum += opt.mpki();
+        opt_sum += opt[i].mpki();
         csv.row({ctx.suite[i].name,
                  TableFormatter::num(lru[i].stats.mpki(), 4),
                  TableFormatter::num(chirp_results[i].stats.mpki(), 4),
-                 TableFormatter::num(opt.mpki(), 4)});
-        std::fprintf(stderr, "  [opt] %zu/%zu\r", i + 1,
-                     ctx.suite.size());
+                 TableFormatter::num(opt[i].mpki(), 4)});
     }
-    std::fprintf(stderr, "\n");
 
     const double n = static_cast<double>(ctx.suite.size());
     TableFormatter table;

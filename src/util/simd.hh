@@ -1,39 +1,23 @@
 /**
  * @file
- * Data-parallel kernels for the policy hot paths, behind runtime
- * backend dispatch.
+ * Data-parallel kernels for the policy hot paths, one body per
+ * platform.
  *
  * The victim scans (dead bits, RRPV values, recency ranks), the TLB
- * tag match and GHRP's per-table signature/index composition all walk
- * small contiguous lanes — exactly the shape the PR 3 SoA refactor
- * produced.  Each kernel here has one scalar reference implementation
- * (the semantic contract, including scan order and tie-breaking) plus
- * ISA-specific variants that must return bit-identical results; the
- * randomized equivalence tests drive every lane count and tail shape
- * against the scalar reference.
+ * tag match and key composition, and GHRP/CHiRP's per-table
+ * signature/index composition all walk small contiguous lanes — the
+ * shape of the structure-of-arrays set layout.  Each kernel has one
+ * scalar reference implementation (the semantic contract, including
+ * scan order and tie-breaking) and one SSE2 implementation that must
+ * return bit-identical results.
  *
- * Backend selection is runtime: the strongest ISA the host supports
- * is detected once (cpuid on x86-64, compile-time on aarch64) and
- * cached.  Two overrides exist:
- *  - `CHIRP_SIMD=OFF` at configure time compiles the vector variants
- *    out entirely (portable build);
- *  - `CHIRP_FORCE_SCALAR` in the environment (non-empty, not "0")
- *    forces the scalar reference at runtime — the CI equality leg
- *    diffs full bench runs across the two settings.
- *
- * Dispatch layout: the kernels the TLB runs on *every* access scan a
- * handful of lanes (assoc is 4-16, GHRP composes 3 table lanes), so
- * an out-of-line call per kernel costs more than the scan itself.
- * The scalar reference and the baseline-ISA variants (SSE2 on x86-64,
- * NEON on aarch64 — both guaranteed by the ABI, so no target
- * attribute is needed) therefore live here as inline functions, and
- * the public kernels are inline two-way branches on a cached backend
- * global.  Only the AVX2 variants stay out of line (they require a
- * per-function target attribute, which blocks inlining into plain
- * callers) and are entered only when the input spans at least one
- * full 256-bit vector; below that the SSE2 body is used — the
- * results are bit-identical either way, so the threshold is purely a
- * latency choice.
+ * The body is chosen at compile time: x86-64 builds use the SSE2
+ * bodies, which the ABI guarantees on every x86-64 host, so no cpuid
+ * check or target attribute is needed and they inline into any
+ * caller; every other target uses the scalar reference.  There is no
+ * runtime dispatch and no switch.  tests/simd_test.cc compares each
+ * scalar reference with its public kernel (and with a naive
+ * reference of its own) over every lane count and tail shape.
  *
  * All kernels treat `n == 0` as an empty scan (the "not found"
  * sentinel is `n` itself, so it composes with any caller loop).
@@ -48,14 +32,9 @@
 #include "util/bitfield.hh"
 #include "util/types.hh"
 
-#if defined(CHIRP_SIMD_ENABLED) && (defined(__x86_64__) || defined(_M_X64))
-#define CHIRP_SIMD_X86 1
-#include <immintrin.h>
-#endif
-
-#if defined(CHIRP_SIMD_ENABLED) && defined(__aarch64__)
-#define CHIRP_SIMD_NEON 1
-#include <arm_neon.h>
+#if defined(__x86_64__) || defined(_M_X64)
+#define CHIRP_SIMD_SSE2 1
+#include <emmintrin.h>
 #endif
 
 namespace chirp
@@ -63,20 +42,33 @@ namespace chirp
 namespace simd
 {
 
-/** The instruction set a kernel call will use. */
+/** The instruction set the kernels were compiled for. */
 enum class Backend : std::uint8_t
 {
-    Scalar, //!< must stay 0: a zero-initialized backend is safe
+    Scalar,
     Sse2,
-    Avx2,
-    Neon,
 };
 
-/** Printable backend name ("avx2", "sse2", "neon", "scalar"). */
-const char *backendName(Backend backend);
+/** Printable backend name ("sse2", "scalar"). */
+constexpr const char *
+backendName(Backend backend)
+{
+    return backend == Backend::Sse2 ? "sse2" : "scalar";
+}
 
-/** Re-detect the backend (after setenv/unsetenv in tests). */
-void refreshBackend();
+/**
+ * The backend every kernel uses: SSE2 on x86-64, the scalar reference
+ * elsewhere.  Only the benchmark fingerprints read it.
+ */
+constexpr Backend
+activeBackend()
+{
+#ifdef CHIRP_SIMD_SSE2
+    return Backend::Sse2;
+#else
+    return Backend::Scalar;
+#endif
+}
 
 /**
  * Precomputed XOR-fold ladder for one fold width.
@@ -133,19 +125,10 @@ struct FoldPlan
 namespace detail
 {
 
-/**
- * The cached backend every kernel dispatches on.  Set by a dynamic
- * initializer in simd.cc; until that runs it reads as zero ==
- * Backend::Scalar, so kernels called from other translation units'
- * static initializers stay correct.
- */
-extern Backend g_backend;
-
 /*
- * Scalar reference kernels.  These define the contract — every vector
+ * Scalar reference kernels.  These define the contract — every SSE2
  * variant below must match them bit-for-bit, including scan order and
- * tie-breaking — and they are the only implementation compiled when
- * CHIRP_SIMD is OFF or the host ISA is unsupported.
+ * tie-breaking — and they are the kernels of every non-x86-64 build.
  */
 
 inline std::size_t
@@ -230,21 +213,6 @@ shiftOrScalar(std::uint64_t *v, const std::uint8_t *shifts,
 }
 
 inline void
-xorFoldScalar(std::uint64_t *v, std::size_t n, unsigned nbits)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        v[i] = foldXor(v[i], nbits);
-}
-
-inline void
-mulXorFoldScalar(std::uint64_t *v, std::size_t n, std::uint64_t k,
-                 unsigned nbits)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        v[i] = foldXor(v[i] * k, nbits);
-}
-
-inline void
 xorFoldPlanScalar(std::uint64_t *v, std::size_t n,
                   const FoldPlan &plan)
 {
@@ -258,16 +226,6 @@ mulXorFoldPlanScalar(std::uint64_t *v, std::size_t n, std::uint64_t k,
 {
     for (std::size_t i = 0; i < n; ++i)
         v[i] = plan.apply(v[i] * k);
-}
-
-inline void
-xorFoldSigScalar(const std::uint64_t *base, std::size_t n,
-                 std::uint64_t xor_term, const FoldPlan &plan,
-                 std::uint16_t *sigs)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        sigs[i] =
-            static_cast<std::uint16_t>(plan.apply(base[i] ^ xor_term));
 }
 
 inline void
@@ -288,12 +246,11 @@ sigIndexScalar(const std::uint64_t *base, std::size_t n,
     }
 }
 
-#ifdef CHIRP_SIMD_X86
+#ifdef CHIRP_SIMD_SSE2
 
 /*
- * SSE2 variants — baseline on every x86-64 host, so they carry no
- * cpuid check and inline into any caller.  The byte kernels process
- * 16 lanes per step with a scalar tail; tag matching works on two
+ * SSE2 variants.  The byte scans process 16 lanes per step, then an
+ * 8-lane half vector, then a scalar tail; tag matching works on two
  * 64-bit lanes per vector (SSE2 has no 64-bit compare, so equality is
  * the AND of the two 32-bit half compares).
  */
@@ -604,57 +561,6 @@ mul64Sse2(__m128i a, __m128i b)
         ll, _mm_slli_epi64(_mm_add_epi64(hl, lh), 32));
 }
 
-/**
- * Lane-wise ladder XOR-fold.  foldXor is an XOR of nbits-wide chunks;
- * XOR is associative, so halving the live chunk count each step
- * (v ^= v >> half*nbits, then mask) lands on the identical value in
- * log steps.  The shift counts depend only on nbits, so one sequence
- * serves every lane.
- */
-inline __m128i
-foldLadderSse2(__m128i v, unsigned nbits)
-{
-    unsigned chunks = (64 + nbits - 1) / nbits;
-    while (chunks > 1) {
-        const unsigned half = (chunks + 1) / 2;
-        const unsigned shift = half * nbits;
-        const __m128i mask =
-            _mm_set1_epi64x(static_cast<long long>(maskBits(shift)));
-        if (shift < 64)
-            v = _mm_xor_si128(v, _mm_srli_epi64(v, shift));
-        v = _mm_and_si128(v, mask);
-        chunks = half;
-    }
-    return v;
-}
-
-inline void
-xorFoldSse2(std::uint64_t *v, std::size_t n, unsigned nbits)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        __m128i *p = reinterpret_cast<__m128i *>(v + i);
-        _mm_storeu_si128(p, foldLadderSse2(_mm_loadu_si128(p), nbits));
-    }
-    for (; i < n; ++i)
-        v[i] = foldXor(v[i], nbits);
-}
-
-inline void
-mulXorFoldSse2(std::uint64_t *v, std::size_t n, std::uint64_t k,
-               unsigned nbits)
-{
-    const __m128i kv = _mm_set1_epi64x(static_cast<long long>(k));
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        __m128i *p = reinterpret_cast<__m128i *>(v + i);
-        _mm_storeu_si128(
-            p, foldLadderSse2(mul64Sse2(_mm_loadu_si128(p), kv), nbits));
-    }
-    for (; i < n; ++i)
-        v[i] = foldXor(v[i] * k, nbits);
-}
-
 /** The precomputed ladder of a FoldPlan, two lanes at a time. */
 inline __m128i
 foldPlanSse2(__m128i v, const FoldPlan &plan)
@@ -694,30 +600,6 @@ mulXorFoldPlanSse2(std::uint64_t *v, std::size_t n, std::uint64_t k,
     }
     for (; i < n; ++i)
         v[i] = plan.apply(v[i] * k);
-}
-
-inline void
-xorFoldSigSse2(const std::uint64_t *base, std::size_t n,
-               std::uint64_t xor_term, const FoldPlan &plan,
-               std::uint16_t *sigs)
-{
-    const __m128i xv = _mm_set1_epi64x(static_cast<long long>(xor_term));
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const __m128i v = foldPlanSse2(
-            _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                              base + i)),
-                          xv),
-            plan);
-        sigs[i] = static_cast<std::uint16_t>(
-            static_cast<std::uint64_t>(_mm_cvtsi128_si64(v)));
-        sigs[i + 1] = static_cast<std::uint16_t>(
-            static_cast<std::uint64_t>(
-                _mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v))));
-    }
-    for (; i < n; ++i)
-        sigs[i] =
-            static_cast<std::uint16_t>(plan.apply(base[i] ^ xor_term));
 }
 
 inline void
@@ -766,400 +648,16 @@ sigIndexSse2(const std::uint64_t *base, std::size_t n,
     }
 }
 
-/*
- * AVX2 variants — out of line in simd.cc (a per-function target
- * attribute blocks inlining into plain callers), entered by the
- * dispatchers below only when the input fills at least one 256-bit
- * vector; their tails delegate back to the SSE2 bodies, so results
- * are bit-identical at every size.
- */
-
-std::size_t firstSetAvx2(const std::uint8_t *v, std::size_t n);
-std::size_t firstClearAvx2(const std::uint8_t *v, std::size_t n);
-std::size_t firstAtLeastAvx2(const std::uint8_t *v, std::size_t n,
-                             std::uint8_t limit);
-std::size_t deepestSetAvx2(const std::uint8_t *flags,
-                           const std::uint8_t *rank, std::size_t n);
-std::uint8_t maxLaneAvx2(const std::uint8_t *v, std::size_t n);
-void addToLanesAvx2(std::uint8_t *v, std::size_t n,
-                    std::uint8_t delta);
-std::size_t matchTagAvx2(const Addr *tags, const std::uint8_t *valid,
-                         std::size_t n, Addr tag);
-void shiftOrAvx2(std::uint64_t *v, const std::uint8_t *shifts,
-                 std::size_t n, std::uint8_t common_shift,
-                 std::uint64_t common_or, std::uint64_t other_or);
-void xorFoldAvx2(std::uint64_t *v, std::size_t n, unsigned nbits);
-void mulXorFoldAvx2(std::uint64_t *v, std::size_t n, std::uint64_t k,
-                    unsigned nbits);
-void xorFoldPlanAvx2(std::uint64_t *v, std::size_t n,
-                     const FoldPlan &plan);
-void mulXorFoldPlanAvx2(std::uint64_t *v, std::size_t n,
-                        std::uint64_t k, const FoldPlan &plan);
-void xorFoldSigAvx2(const std::uint64_t *base, std::size_t n,
-                    std::uint64_t xor_term, const FoldPlan &plan,
-                    std::uint16_t *sigs);
-void sigIndexAvx2(const std::uint64_t *base, std::size_t n,
-                  std::uint64_t xor_term, const FoldPlan &sig_plan,
-                  std::uint64_t salt, std::uint64_t k,
-                  const FoldPlan &idx_plan, std::uint32_t idx_or,
-                  std::uint16_t *sigs, std::uint32_t *idxs);
-
-/** Lanes an AVX2 byte kernel needs before the 256-bit loop runs. */
-inline constexpr std::size_t kAvx2Bytes = 32;
-/** 64-bit lanes an AVX2 u64 kernel needs (one full vector). */
-inline constexpr std::size_t kAvx2Words = 4;
-
-#endif // CHIRP_SIMD_X86
-
-#ifdef CHIRP_SIMD_NEON
-
-/* NEON variants — baseline on aarch64, no runtime check needed. */
-
-inline std::uint64_t
-laneMask64(uint8x16_t cmp)
-{
-    // Compress the 16 byte-lanes of a compare result to a nibble-per
-    // lane bitmask (NEON has no movemask; shrn by 4 is the idiom).
-    const uint8x8_t narrowed =
-        vshrn_n_u16(vreinterpretq_u16_u8(cmp), 4);
-    return vget_lane_u64(vreinterpret_u64_u8(narrowed), 0);
-}
-
-inline std::size_t
-firstSetNeon(const std::uint8_t *v, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const uint8x16_t x = vld1q_u8(v + i);
-        const std::uint64_t set =
-            ~laneMask64(vceqq_u8(x, vdupq_n_u8(0)));
-        if (set != 0)
-            return i + static_cast<unsigned>(__builtin_ctzll(set)) / 4;
-    }
-    for (; i < n; ++i)
-        if (v[i] != 0)
-            return i;
-    return n;
-}
-
-inline std::size_t
-firstClearNeon(const std::uint8_t *v, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const uint8x16_t x = vld1q_u8(v + i);
-        const std::uint64_t zeros =
-            laneMask64(vceqq_u8(x, vdupq_n_u8(0)));
-        if (zeros != 0)
-            return i +
-                   static_cast<unsigned>(__builtin_ctzll(zeros)) / 4;
-    }
-    for (; i < n; ++i)
-        if (v[i] == 0)
-            return i;
-    return n;
-}
-
-inline std::size_t
-firstAtLeastNeon(const std::uint8_t *v, std::size_t n,
-                 std::uint8_t limit)
-{
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const uint8x16_t x = vld1q_u8(v + i);
-        const std::uint64_t ge =
-            laneMask64(vcgeq_u8(x, vdupq_n_u8(limit)));
-        if (ge != 0)
-            return i + static_cast<unsigned>(__builtin_ctzll(ge)) / 4;
-    }
-    for (; i < n; ++i)
-        if (v[i] >= limit)
-            return i;
-    return n;
-}
-
-inline uint8x16_t
-maskedRankNeon(const std::uint8_t *flags, const std::uint8_t *rank,
-               std::size_t i)
-{
-    const uint8x16_t live = vtstq_u8(vld1q_u8(flags + i),
-                                     vdupq_n_u8(0xff));
-    return vandq_u8(live, vaddq_u8(vld1q_u8(rank + i), vdupq_n_u8(1)));
-}
-
-inline std::size_t
-deepestSetNeon(const std::uint8_t *flags, const std::uint8_t *rank,
-               std::size_t n)
-{
-    uint8x16_t vmax = vdupq_n_u8(0);
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16)
-        vmax = vmaxq_u8(vmax, maskedRankNeon(flags, rank, i));
-    std::uint8_t best = vmaxvq_u8(vmax);
-    for (std::size_t j = i; j < n; ++j) {
-        const std::uint8_t key =
-            flags[j] != 0 ? static_cast<std::uint8_t>(rank[j] + 1) : 0;
-        if (key > best)
-            best = key;
-    }
-    if (best == 0)
-        return n;
-    for (i = 0; i + 16 <= n; i += 16) {
-        const std::uint64_t hit = laneMask64(
-            vceqq_u8(maskedRankNeon(flags, rank, i), vdupq_n_u8(best)));
-        if (hit != 0)
-            return i + static_cast<unsigned>(__builtin_ctzll(hit)) / 4;
-    }
-    for (; i < n; ++i) {
-        const std::uint8_t key =
-            flags[i] != 0 ? static_cast<std::uint8_t>(rank[i] + 1) : 0;
-        if (key == best)
-            return i;
-    }
-    return n;
-}
-
-inline std::uint8_t
-maxLaneNeon(const std::uint8_t *v, std::size_t n)
-{
-    uint8x16_t vmax = vdupq_n_u8(0);
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16)
-        vmax = vmaxq_u8(vmax, vld1q_u8(v + i));
-    std::uint8_t best = vmaxvq_u8(vmax);
-    for (; i < n; ++i)
-        if (v[i] > best)
-            best = v[i];
-    return best;
-}
-
-inline void
-addToLanesNeon(std::uint8_t *v, std::size_t n, std::uint8_t delta)
-{
-    const uint8x16_t d = vdupq_n_u8(delta);
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16)
-        vst1q_u8(v + i, vaddq_u8(vld1q_u8(v + i), d));
-    for (; i < n; ++i)
-        v[i] = static_cast<std::uint8_t>(v[i] + delta);
-}
-
-inline std::size_t
-matchTagNeon(const Addr *tags, const std::uint8_t *valid,
-             std::size_t n, Addr tag)
-{
-    const uint64x2_t want = vdupq_n_u64(tag);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t eq = vceqq_u64(vld1q_u64(tags + i), want);
-        if (vgetq_lane_u64(eq, 0) != 0 && valid[i] != 0)
-            return i;
-        if (vgetq_lane_u64(eq, 1) != 0 && valid[i + 1] != 0)
-            return i + 1;
-    }
-    for (; i < n; ++i)
-        if (valid[i] != 0 && tags[i] == tag)
-            return i;
-    return n;
-}
-
-inline void
-shiftOrNeon(std::uint64_t *v, const std::uint8_t *shifts,
-            std::size_t n, std::uint8_t common_shift,
-            std::uint64_t common_or, std::uint64_t other_or)
-{
-    // vshlq with negative per-lane counts is a per-lane right shift,
-    // so mixed page sizes stay on the vector path.
-    const uint64x2_t cshift = vdupq_n_u64(common_shift);
-    const uint64x2_t corv = vdupq_n_u64(common_or);
-    const uint64x2_t oorv = vdupq_n_u64(other_or);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t s = vcombine_u64(vcreate_u64(shifts[i]),
-                                          vcreate_u64(shifts[i + 1]));
-        const int64x2_t neg =
-            vnegq_s64(vreinterpretq_s64_u64(s));
-        const uint64x2_t shifted = vshlq_u64(vld1q_u64(v + i), neg);
-        const uint64x2_t is_common = vceqq_u64(s, cshift);
-        const uint64x2_t orv = vbslq_u64(is_common, corv, oorv);
-        vst1q_u64(v + i, vorrq_u64(shifted, orv));
-    }
-    for (; i < n; ++i) {
-        v[i] = (v[i] >> shifts[i]) |
-               (shifts[i] == common_shift ? common_or : other_or);
-    }
-}
-
-inline uint64x2_t
-foldLadderNeon(uint64x2_t v, unsigned nbits)
-{
-    unsigned chunks = (64 + nbits - 1) / nbits;
-    while (chunks > 1) {
-        const unsigned half = (chunks + 1) / 2;
-        const unsigned shift = half * nbits;
-        const uint64x2_t mask = vdupq_n_u64(maskBits(shift));
-        if (shift < 64)
-            v = veorq_u64(
-                v, vshlq_u64(v, vdupq_n_s64(
-                                    -static_cast<std::int64_t>(shift))));
-        v = vandq_u64(v, mask);
-        chunks = half;
-    }
-    return v;
-}
-
-inline void
-xorFoldNeon(std::uint64_t *v, std::size_t n, unsigned nbits)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(v + i, foldLadderNeon(vld1q_u64(v + i), nbits));
-    for (; i < n; ++i)
-        v[i] = foldXor(v[i], nbits);
-}
-
-inline void
-mulXorFoldNeon(std::uint64_t *v, std::size_t n, std::uint64_t k,
-               unsigned nbits)
-{
-    // NEON has no 64-bit lane multiply; the scalar multiply feeds the
-    // vector ladder two lanes at a time.
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        std::uint64_t prod[2] = {v[i] * k, v[i + 1] * k};
-        vst1q_u64(v + i, foldLadderNeon(vld1q_u64(prod), nbits));
-    }
-    for (; i < n; ++i)
-        v[i] = foldXor(v[i] * k, nbits);
-}
-
-/** The precomputed ladder of a FoldPlan, two lanes at a time. */
-inline uint64x2_t
-foldPlanNeon(uint64x2_t v, const FoldPlan &plan)
-{
-    for (unsigned s = 0; s < plan.steps; ++s) {
-        v = veorq_u64(
-            v, vshlq_u64(
-                   v, vdupq_n_s64(-static_cast<std::int64_t>(
-                          plan.shift[s]))));
-        v = vandq_u64(v, vdupq_n_u64(plan.mask[s]));
-    }
-    return v;
-}
-
-inline void
-xorFoldPlanNeon(std::uint64_t *v, std::size_t n, const FoldPlan &plan)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(v + i, foldPlanNeon(vld1q_u64(v + i), plan));
-    for (; i < n; ++i)
-        v[i] = plan.apply(v[i]);
-}
-
-inline void
-mulXorFoldPlanNeon(std::uint64_t *v, std::size_t n, std::uint64_t k,
-                   const FoldPlan &plan)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        std::uint64_t prod[2] = {v[i] * k, v[i + 1] * k};
-        vst1q_u64(v + i, foldPlanNeon(vld1q_u64(prod), plan));
-    }
-    for (; i < n; ++i)
-        v[i] = plan.apply(v[i] * k);
-}
-
-inline void
-xorFoldSigNeon(const std::uint64_t *base, std::size_t n,
-               std::uint64_t xor_term, const FoldPlan &plan,
-               std::uint16_t *sigs)
-{
-    const uint64x2_t xv = vdupq_n_u64(xor_term);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t v =
-            foldPlanNeon(veorq_u64(vld1q_u64(base + i), xv), plan);
-        sigs[i] = static_cast<std::uint16_t>(vgetq_lane_u64(v, 0));
-        sigs[i + 1] = static_cast<std::uint16_t>(vgetq_lane_u64(v, 1));
-    }
-    for (; i < n; ++i)
-        sigs[i] =
-            static_cast<std::uint16_t>(plan.apply(base[i] ^ xor_term));
-}
-
-inline void
-sigIndexNeon(const std::uint64_t *base, std::size_t n,
-             std::uint64_t xor_term, const FoldPlan &sig_plan,
-             std::uint64_t salt, std::uint64_t k,
-             const FoldPlan &idx_plan, std::uint32_t idx_or,
-             std::uint16_t *sigs, std::uint32_t *idxs)
-{
-    // As in mulXorFoldPlanNeon, the 64-bit multiply is scalar (no
-    // 64-bit lane multiply on NEON) and the ladders run two lanes at
-    // a time.
-    const uint64x2_t xv = vdupq_n_u64(xor_term);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t v =
-            foldPlanNeon(veorq_u64(vld1q_u64(base + i), xv), sig_plan);
-        const std::uint16_t s0 =
-            static_cast<std::uint16_t>(vgetq_lane_u64(v, 0));
-        const std::uint16_t s1 =
-            static_cast<std::uint16_t>(vgetq_lane_u64(v, 1));
-        sigs[i] = s0;
-        sigs[i + 1] = s1;
-        std::uint64_t prod[2] = {
-            (static_cast<std::uint64_t>(s0) ^ salt) * k,
-            (static_cast<std::uint64_t>(s1) ^ salt) * k};
-        const uint64x2_t x = foldPlanNeon(vld1q_u64(prod), idx_plan);
-        idxs[i] = idx_or | static_cast<std::uint32_t>(
-                               vgetq_lane_u64(x, 0));
-        idxs[i + 1] = idx_or | static_cast<std::uint32_t>(
-                                   vgetq_lane_u64(x, 1));
-    }
-    for (; i < n; ++i) {
-        const std::uint16_t sig = static_cast<std::uint16_t>(
-            sig_plan.apply(base[i] ^ xor_term));
-        sigs[i] = sig;
-        idxs[i] =
-            idx_or |
-            static_cast<std::uint32_t>(idx_plan.apply(
-                (static_cast<std::uint64_t>(sig) ^ salt) * k));
-    }
-}
-
-#endif // CHIRP_SIMD_NEON
+#endif // CHIRP_SIMD_SSE2
 
 } // namespace detail
-
-/**
- * The backend every kernel dispatches to: the strongest ISA compiled
- * in and supported by this host, unless CHIRP_FORCE_SCALAR demotes it
- * to Scalar.  Detected once and cached; tests that flip the
- * environment at runtime call refreshBackend().
- */
-inline Backend
-activeBackend()
-{
-    return detail::g_backend;
-}
 
 /** Index of the first nonzero lane of @p v, or @p n (dead-bit scan). */
 inline std::size_t
 firstSetLane(const std::uint8_t *v, std::size_t n)
 {
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::firstSetScalar(v, n);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Bytes)
-        return detail::firstSetAvx2(v, n);
+#ifdef CHIRP_SIMD_SSE2
     return detail::firstSetSse2(v, n);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::firstSetScalar(v, n);
-    return detail::firstSetNeon(v, n);
 #else
     return detail::firstSetScalar(v, n);
 #endif
@@ -1169,17 +667,8 @@ firstSetLane(const std::uint8_t *v, std::size_t n)
 inline std::size_t
 firstClearLane(const std::uint8_t *v, std::size_t n)
 {
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::firstClearScalar(v, n);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Bytes)
-        return detail::firstClearAvx2(v, n);
+#ifdef CHIRP_SIMD_SSE2
     return detail::firstClearSse2(v, n);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::firstClearScalar(v, n);
-    return detail::firstClearNeon(v, n);
 #else
     return detail::firstClearScalar(v, n);
 #endif
@@ -1190,17 +679,8 @@ inline std::size_t
 firstLaneAtLeast(const std::uint8_t *v, std::size_t n,
                  std::uint8_t limit)
 {
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::firstAtLeastScalar(v, n, limit);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Bytes)
-        return detail::firstAtLeastAvx2(v, n, limit);
+#ifdef CHIRP_SIMD_SSE2
     return detail::firstAtLeastSse2(v, n, limit);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::firstAtLeastScalar(v, n, limit);
-    return detail::firstAtLeastNeon(v, n, limit);
 #else
     return detail::firstAtLeastScalar(v, n, limit);
 #endif
@@ -1217,17 +697,8 @@ inline std::size_t
 deepestSetLane(const std::uint8_t *flags, const std::uint8_t *rank,
                std::size_t n)
 {
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::deepestSetScalar(flags, rank, n);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Bytes)
-        return detail::deepestSetAvx2(flags, rank, n);
+#ifdef CHIRP_SIMD_SSE2
     return detail::deepestSetSse2(flags, rank, n);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::deepestSetScalar(flags, rank, n);
-    return detail::deepestSetNeon(flags, rank, n);
 #else
     return detail::deepestSetScalar(flags, rank, n);
 #endif
@@ -1237,17 +708,8 @@ deepestSetLane(const std::uint8_t *flags, const std::uint8_t *rank,
 inline std::uint8_t
 maxLane(const std::uint8_t *v, std::size_t n)
 {
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::maxLaneScalar(v, n);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Bytes)
-        return detail::maxLaneAvx2(v, n);
+#ifdef CHIRP_SIMD_SSE2
     return detail::maxLaneSse2(v, n);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::maxLaneScalar(v, n);
-    return detail::maxLaneNeon(v, n);
 #else
     return detail::maxLaneScalar(v, n);
 #endif
@@ -1257,17 +719,8 @@ maxLane(const std::uint8_t *v, std::size_t n)
 inline void
 addToLanes(std::uint8_t *v, std::size_t n, std::uint8_t delta)
 {
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::addToLanesScalar(v, n, delta);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Bytes)
-        return detail::addToLanesAvx2(v, n, delta);
+#ifdef CHIRP_SIMD_SSE2
     return detail::addToLanesSse2(v, n, delta);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::addToLanesScalar(v, n, delta);
-    return detail::addToLanesNeon(v, n, delta);
 #else
     return detail::addToLanesScalar(v, n, delta);
 #endif
@@ -1281,17 +734,8 @@ inline std::size_t
 matchTagLane(const Addr *tags, const std::uint8_t *valid,
              std::size_t n, Addr tag)
 {
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::matchTagScalar(tags, valid, n, tag);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Words)
-        return detail::matchTagAvx2(tags, valid, n, tag);
+#ifdef CHIRP_SIMD_SSE2
     return detail::matchTagSse2(tags, valid, n, tag);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::matchTagScalar(tags, valid, n, tag);
-    return detail::matchTagNeon(tags, valid, n, tag);
 #else
     return detail::matchTagScalar(tags, valid, n, tag);
 #endif
@@ -1310,22 +754,9 @@ shiftOrLanes(std::uint64_t *v, const std::uint8_t *shifts,
              std::size_t n, std::uint8_t common_shift,
              std::uint64_t common_or, std::uint64_t other_or)
 {
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::shiftOrScalar(v, shifts, n, common_shift,
-                                     common_or, other_or);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Words)
-        return detail::shiftOrAvx2(v, shifts, n, common_shift,
-                                   common_or, other_or);
+#ifdef CHIRP_SIMD_SSE2
     return detail::shiftOrSse2(v, shifts, n, common_shift, common_or,
-                               other_or);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::shiftOrScalar(v, shifts, n, common_shift,
-                                     common_or, other_or);
-    return detail::shiftOrNeon(v, shifts, n, common_shift, common_or,
-                               other_or);
+                                other_or);
 #else
     return detail::shiftOrScalar(v, shifts, n, common_shift, common_or,
                                  other_or);
@@ -1333,123 +764,33 @@ shiftOrLanes(std::uint64_t *v, const std::uint8_t *shifts,
 }
 
 /**
- * Lane-wise foldXor: v[i] = foldXor(v[i], nbits) for every lane —
- * GHRP's per-table signature composition (one lane per table).
- */
-inline void
-xorFoldLanes(std::uint64_t *v, std::size_t n, unsigned nbits)
-{
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::xorFoldScalar(v, n, nbits);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Words)
-        return detail::xorFoldAvx2(v, n, nbits);
-    return detail::xorFoldSse2(v, n, nbits);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::xorFoldScalar(v, n, nbits);
-    return detail::xorFoldNeon(v, n, nbits);
-#else
-    return detail::xorFoldScalar(v, n, nbits);
-#endif
-}
-
-/**
- * Lane-wise multiplicative index hash: v[i] = foldXor(v[i] * k,
- * nbits) — the indexHash of every prediction table, applied to all
- * lanes at once (GHRP's three table indices per access).
- */
-inline void
-mulXorFoldLanes(std::uint64_t *v, std::size_t n, std::uint64_t k,
-                unsigned nbits)
-{
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::mulXorFoldScalar(v, n, k, nbits);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Words)
-        return detail::mulXorFoldAvx2(v, n, k, nbits);
-    return detail::mulXorFoldSse2(v, n, k, nbits);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::mulXorFoldScalar(v, n, k, nbits);
-    return detail::mulXorFoldNeon(v, n, k, nbits);
-#else
-    return detail::mulXorFoldScalar(v, n, k, nbits);
-#endif
-}
-
-/**
- * xorFoldLanes with the ladder precomputed: identical results to the
- * nbits overload for plan = FoldPlan(nbits), without the per-call
- * chunk-count division and mask formation — the form the per-access
- * GHRP composition uses.
+ * Lane-wise ladder XOR-fold: v[i] = plan.apply(v[i]) for every lane,
+ * i.e. foldXor(v[i], nbits) for plan = FoldPlan(nbits) — GHRP's
+ * per-table signature composition (one lane per table).
  */
 inline void
 xorFoldLanes(std::uint64_t *v, std::size_t n, const FoldPlan &plan)
 {
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::xorFoldPlanScalar(v, n, plan);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Words)
-        return detail::xorFoldPlanAvx2(v, n, plan);
+#ifdef CHIRP_SIMD_SSE2
     return detail::xorFoldPlanSse2(v, n, plan);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::xorFoldPlanScalar(v, n, plan);
-    return detail::xorFoldPlanNeon(v, n, plan);
 #else
     return detail::xorFoldPlanScalar(v, n, plan);
 #endif
 }
 
-/** mulXorFoldLanes with the ladder precomputed (see above). */
+/**
+ * Lane-wise multiplicative index hash: v[i] = plan.apply(v[i] * k) —
+ * the indexHash of every prediction table, applied to all lanes at
+ * once (GHRP's three table indices per access).
+ */
 inline void
 mulXorFoldLanes(std::uint64_t *v, std::size_t n, std::uint64_t k,
                 const FoldPlan &plan)
 {
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::mulXorFoldPlanScalar(v, n, k, plan);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Words)
-        return detail::mulXorFoldPlanAvx2(v, n, k, plan);
+#ifdef CHIRP_SIMD_SSE2
     return detail::mulXorFoldPlanSse2(v, n, k, plan);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::mulXorFoldPlanScalar(v, n, k, plan);
-    return detail::mulXorFoldPlanNeon(v, n, k, plan);
 #else
     return detail::mulXorFoldPlanScalar(v, n, k, plan);
-#endif
-}
-
-/**
- * Fused signature composition: sigs[i] = u16(plan.apply(base[i] ^
- * xor_term)) — the xor, fold ladder and u16 truncation of a whole
- * chunk in one pass over @p base (unmodified), with no intermediate
- * lane array round trips.  CHiRP's batched chunk compose.
- */
-inline void
-xorFoldSigLanes(const std::uint64_t *base, std::size_t n,
-                std::uint64_t xor_term, const FoldPlan &plan,
-                std::uint16_t *sigs)
-{
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::xorFoldSigScalar(base, n, xor_term, plan, sigs);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Words)
-        return detail::xorFoldSigAvx2(base, n, xor_term, plan, sigs);
-    return detail::xorFoldSigSse2(base, n, xor_term, plan, sigs);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::xorFoldSigScalar(base, n, xor_term, plan, sigs);
-    return detail::xorFoldSigNeon(base, n, xor_term, plan, sigs);
-#else
-    return detail::xorFoldSigScalar(base, n, xor_term, plan, sigs);
 #endif
 }
 
@@ -1474,21 +815,8 @@ sigIndexLanes(const std::uint64_t *base, std::size_t n,
               const FoldPlan &idx_plan, std::uint32_t idx_or,
               std::uint16_t *sigs, std::uint32_t *idxs)
 {
-#if defined(CHIRP_SIMD_X86)
-    const Backend b = detail::g_backend;
-    if (b == Backend::Scalar)
-        return detail::sigIndexScalar(base, n, xor_term, sig_plan, salt,
-                                      k, idx_plan, idx_or, sigs, idxs);
-    if (b == Backend::Avx2 && n >= detail::kAvx2Words)
-        return detail::sigIndexAvx2(base, n, xor_term, sig_plan, salt,
-                                    k, idx_plan, idx_or, sigs, idxs);
+#ifdef CHIRP_SIMD_SSE2
     return detail::sigIndexSse2(base, n, xor_term, sig_plan, salt, k,
-                                idx_plan, idx_or, sigs, idxs);
-#elif defined(CHIRP_SIMD_NEON)
-    if (detail::g_backend == Backend::Scalar)
-        return detail::sigIndexScalar(base, n, xor_term, sig_plan, salt,
-                                      k, idx_plan, idx_or, sigs, idxs);
-    return detail::sigIndexNeon(base, n, xor_term, sig_plan, salt, k,
                                 idx_plan, idx_or, sigs, idxs);
 #else
     return detail::sigIndexScalar(base, n, xor_term, sig_plan, salt, k,

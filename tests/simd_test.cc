@@ -1,23 +1,23 @@
 /**
  * @file
- * Randomized scalar-vs-vector equivalence for every simd kernel.
+ * Randomized equivalence of every public simd kernel with its scalar
+ * reference.
  *
- * The scalar reference is the semantic contract (scan order,
- * tie-breaking, n == 0 sentinel); the ISA variants must return
- * bit-identical results for every lane count and tail shape.  Each
- * test runs the same inputs twice — once under CHIRP_FORCE_SCALAR=1
- * and once with the native backend — via refreshBackend() round
- * trips, and additionally checks the scalar contract against a naive
- * reference written here, so a bug shared by both dispatch paths
- * cannot hide.
+ * The scalar reference (`simd::detail::*Scalar`) is the semantic
+ * contract (scan order, tie-breaking, n == 0 sentinel).  Each test
+ * calls the public kernel — the SSE2 body on x86-64, the scalar one
+ * elsewhere — and the scalar reference on the same inputs and
+ * requires bit-identical results for every lane count and tail shape.
+ * Both are also checked against a naive reference written here, so a
+ * bug shared by the two bodies cannot hide.
  *
- * Lane counts sweep 0..kMaxLanes, crossing every dispatch threshold
- * (SSE2 16-byte blocks, AVX2 32-byte blocks, 2/4-word lanes for the
- * 64-bit kernels) and every tail length on each side of them.
+ * Lane counts sweep 0..kMaxLanes, crossing every vector step (16-byte
+ * blocks, the 8-byte half vector, 2-word lanes for the 64-bit
+ * kernels) and every tail length on each side of them.
  */
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -33,59 +33,9 @@ namespace chirp
 namespace
 {
 
-/** Past two AVX2 blocks plus an odd tail. */
+/** Four 16-byte blocks plus a tail; every shorter count runs too. */
 constexpr std::size_t kMaxLanes = 70;
 constexpr int kTrialsPerSize = 8;
-
-/**
- * Saves the CHIRP_FORCE_SCALAR state, flips it as asked, and
- * refreshes the cached backend; restores both on destruction.
- */
-class ScopedBackend
-{
-  public:
-    explicit ScopedBackend(bool force_scalar)
-    {
-        const char *old = std::getenv("CHIRP_FORCE_SCALAR");
-        had_old_ = old != nullptr;
-        if (had_old_)
-            old_ = old;
-        if (force_scalar)
-            setenv("CHIRP_FORCE_SCALAR", "1", 1);
-        else
-            unsetenv("CHIRP_FORCE_SCALAR");
-        simd::refreshBackend();
-    }
-
-    ~ScopedBackend()
-    {
-        if (had_old_)
-            setenv("CHIRP_FORCE_SCALAR", old_.c_str(), 1);
-        else
-            unsetenv("CHIRP_FORCE_SCALAR");
-        simd::refreshBackend();
-    }
-
-  private:
-    bool had_old_ = false;
-    std::string old_;
-};
-
-/** Runs @p fn under the scalar backend, then the native one. */
-template <typename Fn>
-void
-underBothBackends(Fn &&fn)
-{
-    {
-        ScopedBackend scalar(true);
-        ASSERT_EQ(simd::activeBackend(), simd::Backend::Scalar);
-        fn(simd::Backend::Scalar);
-    }
-    {
-        ScopedBackend native(false);
-        fn(simd::activeBackend());
-    }
-}
 
 std::vector<std::uint8_t>
 randomBytes(std::mt19937_64 &rng, std::size_t n, std::uint8_t lo,
@@ -160,17 +110,16 @@ refMatchTag(const Addr *tags, const std::uint8_t *valid, std::size_t n,
     return n;
 }
 
-TEST(SimdBackend, NameIsKnownAndScalarIsForced)
+TEST(SimdBackend, NameMatchesTarget)
 {
-    {
-        ScopedBackend scalar(true);
-        EXPECT_STREQ(simd::backendName(simd::activeBackend()), "scalar");
-    }
-    ScopedBackend native(false);
-    const std::string name = simd::backendName(simd::activeBackend());
-    EXPECT_TRUE(name == "scalar" || name == "sse2" || name == "avx2" ||
-                name == "neon")
-        << name;
+    static_assert(simd::activeBackend() == simd::Backend::Sse2 ||
+                  simd::activeBackend() == simd::Backend::Scalar);
+#if defined(__x86_64__) || defined(_M_X64)
+    EXPECT_STREQ(simd::backendName(simd::activeBackend()), "sse2");
+#else
+    EXPECT_STREQ(simd::backendName(simd::activeBackend()), "scalar");
+#endif
+    EXPECT_STREQ(simd::backendName(simd::Backend::Scalar), "scalar");
 }
 
 TEST(SimdScan, FirstSetClearAtLeastMatchScalar)
@@ -182,40 +131,43 @@ TEST(SimdScan, FirstSetClearAtLeastMatchScalar)
             const auto v = randomBytes(rng, n, 0, 3);
             const std::uint8_t lim =
                 static_cast<std::uint8_t>(rng() % 5);
-            underBothBackends([&](simd::Backend b) {
-                SCOPED_TRACE(std::string("backend=") +
-                             simd::backendName(b) +
-                             " n=" + std::to_string(n));
-                EXPECT_EQ(simd::firstSetLane(v.data(), n),
-                          refFirstSet(v.data(), n));
-                EXPECT_EQ(simd::firstClearLane(v.data(), n),
-                          refFirstClear(v.data(), n));
-                EXPECT_EQ(simd::firstLaneAtLeast(v.data(), n, lim),
-                          refFirstAtLeast(v.data(), n, lim));
-            });
+            SCOPED_TRACE("n=" + std::to_string(n));
+            const std::size_t set = refFirstSet(v.data(), n);
+            EXPECT_EQ(simd::detail::firstSetScalar(v.data(), n), set);
+            EXPECT_EQ(simd::firstSetLane(v.data(), n), set);
+            const std::size_t clear = refFirstClear(v.data(), n);
+            EXPECT_EQ(simd::detail::firstClearScalar(v.data(), n), clear);
+            EXPECT_EQ(simd::firstClearLane(v.data(), n), clear);
+            const std::size_t at_least =
+                refFirstAtLeast(v.data(), n, lim);
+            EXPECT_EQ(simd::detail::firstAtLeastScalar(v.data(), n, lim),
+                      at_least);
+            EXPECT_EQ(simd::firstLaneAtLeast(v.data(), n, lim),
+                      at_least);
         }
     }
 }
 
 TEST(SimdScan, AllZeroAndAllSetEdges)
 {
-    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{15},
-                          std::size_t{16}, std::size_t{17},
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                          std::size_t{8}, std::size_t{9},
+                          std::size_t{15}, std::size_t{16},
+                          std::size_t{17}, std::size_t{24},
                           std::size_t{31}, std::size_t{32},
                           std::size_t{33}, std::size_t{64},
                           kMaxLanes}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
         const std::vector<std::uint8_t> zeros(n, 0);
         const std::vector<std::uint8_t> ones(n, 1);
-        underBothBackends([&](simd::Backend) {
-            EXPECT_EQ(simd::firstSetLane(zeros.data(), n), n);
-            EXPECT_EQ(simd::firstClearLane(ones.data(), n), n);
-            EXPECT_EQ(simd::firstSetLane(ones.data(), n),
-                      n == 0 ? n : 0u);
-            EXPECT_EQ(simd::firstClearLane(zeros.data(), n),
-                      n == 0 ? n : 0u);
-            EXPECT_EQ(simd::firstLaneAtLeast(zeros.data(), n, 1), n);
-            EXPECT_EQ(simd::maxLane(zeros.data(), n), 0u);
-        });
+        EXPECT_EQ(simd::firstSetLane(zeros.data(), n), n);
+        EXPECT_EQ(simd::firstClearLane(ones.data(), n), n);
+        EXPECT_EQ(simd::firstSetLane(ones.data(), n), n == 0 ? n : 0u);
+        EXPECT_EQ(simd::firstClearLane(zeros.data(), n),
+                  n == 0 ? n : 0u);
+        EXPECT_EQ(simd::firstLaneAtLeast(zeros.data(), n, 1), n);
+        EXPECT_EQ(simd::maxLane(zeros.data(), n), 0u);
+        EXPECT_EQ(simd::deepestSetLane(zeros.data(), ones.data(), n), n);
     }
 }
 
@@ -227,14 +179,14 @@ TEST(SimdScan, DeepestSetTieBreaksOnEarliestMaximum)
             const auto flags = randomBytes(rng, n, 0, 1);
             // Tiny rank alphabet forces duplicate maxima.
             const auto rank = randomBytes(rng, n, 0, 2);
-            underBothBackends([&](simd::Backend b) {
-                SCOPED_TRACE(std::string("backend=") +
-                             simd::backendName(b) +
-                             " n=" + std::to_string(n));
-                EXPECT_EQ(
-                    simd::deepestSetLane(flags.data(), rank.data(), n),
-                    refDeepestSet(flags.data(), rank.data(), n));
-            });
+            SCOPED_TRACE("n=" + std::to_string(n));
+            const std::size_t want =
+                refDeepestSet(flags.data(), rank.data(), n);
+            EXPECT_EQ(simd::detail::deepestSetScalar(flags.data(),
+                                                     rank.data(), n),
+                      want);
+            EXPECT_EQ(simd::deepestSetLane(flags.data(), rank.data(), n),
+                      want);
         }
     }
     // Max legal rank at both ends of a vector block.
@@ -242,10 +194,7 @@ TEST(SimdScan, DeepestSetTieBreaksOnEarliestMaximum)
     std::vector<std::uint8_t> rank(33, 0);
     rank[0] = 254;
     rank[32] = 254;
-    underBothBackends([&](simd::Backend) {
-        EXPECT_EQ(simd::deepestSetLane(flags.data(), rank.data(), 33),
-                  0u);
-    });
+    EXPECT_EQ(simd::deepestSetLane(flags.data(), rank.data(), 33), 0u);
 }
 
 TEST(SimdScan, MaxLaneAndAddToLanesMatchScalar)
@@ -256,18 +205,19 @@ TEST(SimdScan, MaxLaneAndAddToLanesMatchScalar)
             const auto v = randomBytes(rng, n, 0, 200);
             const std::uint8_t delta =
                 static_cast<std::uint8_t>(rng() % 7);
-            underBothBackends([&](simd::Backend b) {
-                SCOPED_TRACE(std::string("backend=") +
-                             simd::backendName(b) +
-                             " n=" + std::to_string(n));
-                EXPECT_EQ(simd::maxLane(v.data(), n),
-                          refMaxLane(v.data(), n));
-                auto mutated = v;
-                simd::addToLanes(mutated.data(), n, delta);
-                for (std::size_t i = 0; i < n; ++i)
-                    ASSERT_EQ(mutated[i],
-                              static_cast<std::uint8_t>(v[i] + delta));
-            });
+            SCOPED_TRACE("n=" + std::to_string(n));
+            const std::uint8_t max = refMaxLane(v.data(), n);
+            EXPECT_EQ(simd::detail::maxLaneScalar(v.data(), n), max);
+            EXPECT_EQ(simd::maxLane(v.data(), n), max);
+            std::vector<std::uint8_t> want(n);
+            for (std::size_t i = 0; i < n; ++i)
+                want[i] = static_cast<std::uint8_t>(v[i] + delta);
+            auto scalar = v;
+            simd::detail::addToLanesScalar(scalar.data(), n, delta);
+            EXPECT_EQ(scalar, want);
+            auto mutated = v;
+            simd::addToLanes(mutated.data(), n, delta);
+            EXPECT_EQ(mutated, want);
         }
     }
 }
@@ -284,25 +234,69 @@ TEST(SimdScan, MatchTagFindsFirstValidMatchOnly)
                 t = 0xABCD0000u + (rng() % 4);
             const auto valid = randomBytes(rng, n, 0, 1);
             const Addr probe = 0xABCD0000u + (rng() % 4);
-            underBothBackends([&](simd::Backend b) {
-                SCOPED_TRACE(std::string("backend=") +
-                             simd::backendName(b) +
-                             " n=" + std::to_string(n));
-                EXPECT_EQ(simd::matchTagLane(tags.data(), valid.data(),
-                                             n, probe),
-                          refMatchTag(tags.data(), valid.data(), n,
-                                      probe));
-            });
+            SCOPED_TRACE("n=" + std::to_string(n));
+            const std::size_t want =
+                refMatchTag(tags.data(), valid.data(), n, probe);
+            EXPECT_EQ(simd::detail::matchTagScalar(tags.data(),
+                                                   valid.data(), n,
+                                                   probe),
+                      want);
+            EXPECT_EQ(simd::matchTagLane(tags.data(), valid.data(), n,
+                                         probe),
+                      want);
         }
     }
-    // An invalid lane holding the probe tag must not match.
+    // An invalid lane holding the probe tag must not match, and a tag
+    // equal in one 32-bit half only is no match.
     std::vector<Addr> tags(5, 0x42);
+    tags[2] = 0x1'0000'0042ull;
     std::vector<std::uint8_t> valid = {0, 0, 1, 0, 1};
-    underBothBackends([&](simd::Backend) {
-        EXPECT_EQ(simd::matchTagLane(tags.data(), valid.data(), 5,
-                                     Addr{0x42}),
-                  2u);
-    });
+    EXPECT_EQ(simd::matchTagLane(tags.data(), valid.data(), 5,
+                                 Addr{0x42}),
+              4u);
+}
+
+TEST(SimdShift, ShiftOrLanesMatchScalarOnMixedPageSizes)
+{
+    // The TLB key composition: 4 KB (shift 12) is the common page
+    // size, 2 MB (shift 21) lanes take the other tag bits.  Pairs of
+    // two common lanes take the vector body, any pair holding a 2 MB
+    // lane the per-lane fallback, and odd counts leave a scalar tail.
+    constexpr std::uint8_t kSmall = 12;
+    constexpr std::uint8_t kLarge = 21;
+    constexpr std::uint64_t kCommonOr = 0x5ull << 56;
+    constexpr std::uint64_t kOtherOr = 0x6ull << 56;
+    std::mt19937_64 rng(0xC0FFEE08);
+    // Share of 2 MB lanes: none (all vector), some, all (no vector).
+    const unsigned large_pct[] = {0, 20, 50, 100};
+    for (const unsigned pct : large_pct) {
+        for (std::size_t n = 0; n <= kMaxLanes; ++n) {
+            for (int trial = 0; trial < kTrialsPerSize; ++trial) {
+                std::vector<std::uint64_t> vaddr(n);
+                std::vector<std::uint8_t> shifts(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    vaddr[i] = rng() >> 16; // 48-bit virtual address
+                    shifts[i] = rng() % 100 < pct ? kLarge : kSmall;
+                }
+                std::vector<std::uint64_t> want(n);
+                for (std::size_t i = 0; i < n; ++i)
+                    want[i] = (vaddr[i] >> shifts[i]) |
+                              (shifts[i] == kSmall ? kCommonOr
+                                                   : kOtherOr);
+                SCOPED_TRACE("pct=" + std::to_string(pct) +
+                             " n=" + std::to_string(n));
+                auto scalar = vaddr;
+                simd::detail::shiftOrScalar(scalar.data(), shifts.data(),
+                                            n, kSmall, kCommonOr,
+                                            kOtherOr);
+                EXPECT_EQ(scalar, want);
+                auto lanes = vaddr;
+                simd::shiftOrLanes(lanes.data(), shifts.data(), n,
+                                   kSmall, kCommonOr, kOtherOr);
+                EXPECT_EQ(lanes, want);
+            }
+        }
+    }
 }
 
 TEST(SimdFold, FoldPlanApplyEqualsFoldXorAtEveryWidth)
@@ -336,29 +330,25 @@ TEST(SimdFold, LaneFoldsMatchPerElementFoldXor)
                 fold_ref[i] = foldXor(input[i], nbits);
                 mul_ref[i] = foldXor(input[i] * kMul, nbits);
             }
-            underBothBackends([&](simd::Backend b) {
-                SCOPED_TRACE(std::string("backend=") +
-                             simd::backendName(b) + " nbits=" +
-                             std::to_string(nbits) +
-                             " n=" + std::to_string(n));
-                auto a = input;
-                simd::xorFoldLanes(a.data(), n, nbits);
-                EXPECT_EQ(a, fold_ref);
-                auto bv = input;
-                simd::xorFoldLanes(bv.data(), n, plan);
-                EXPECT_EQ(bv, fold_ref);
-                auto c = input;
-                simd::mulXorFoldLanes(c.data(), n, kMul, nbits);
-                EXPECT_EQ(c, mul_ref);
-                auto d = input;
-                simd::mulXorFoldLanes(d.data(), n, kMul, plan);
-                EXPECT_EQ(d, mul_ref);
-            });
+            SCOPED_TRACE("nbits=" + std::to_string(nbits) +
+                         " n=" + std::to_string(n));
+            auto a = input;
+            simd::detail::xorFoldPlanScalar(a.data(), n, plan);
+            EXPECT_EQ(a, fold_ref);
+            auto b = input;
+            simd::xorFoldLanes(b.data(), n, plan);
+            EXPECT_EQ(b, fold_ref);
+            auto c = input;
+            simd::detail::mulXorFoldPlanScalar(c.data(), n, kMul, plan);
+            EXPECT_EQ(c, mul_ref);
+            auto d = input;
+            simd::mulXorFoldLanes(d.data(), n, kMul, plan);
+            EXPECT_EQ(d, mul_ref);
         }
     }
 }
 
-TEST(SimdFold, FusedSigAndSigIndexLanesMatchScalarReference)
+TEST(SimdFold, FusedSigIndexLanesMatchScalarReference)
 {
     std::mt19937_64 rng(0xC0FFEE07);
     constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
@@ -395,24 +385,23 @@ TEST(SimdFold, FusedSigAndSigIndexLanesMatchScalarReference)
                             kMul,
                         idx_bits));
             }
-            underBothBackends([&](simd::Backend b) {
-                SCOPED_TRACE(std::string("backend=") +
-                             simd::backendName(b) + " sig_bits=" +
-                             std::to_string(sig_bits) +
-                             " n=" + std::to_string(n));
-                std::vector<std::uint16_t> sigs(n, 0xAAAA);
-                simd::xorFoldSigLanes(base.data(), n, xor_term,
-                                      sig_plan, sigs.data());
-                EXPECT_EQ(sigs, sig_ref);
-                std::vector<std::uint16_t> sigs2(n, 0xAAAA);
-                std::vector<std::uint32_t> idxs(n, 0xDEADBEEFu);
-                simd::sigIndexLanes(base.data(), n, xor_term,
-                                    sig_plan, salt, kMul, idx_plan,
-                                    idx_or, sigs2.data(),
-                                    idxs.data());
-                EXPECT_EQ(sigs2, sig_ref);
-                EXPECT_EQ(idxs, idx_ref);
-            });
+            SCOPED_TRACE("sig_bits=" + std::to_string(sig_bits) +
+                         " n=" + std::to_string(n));
+            std::vector<std::uint16_t> sigs(n, 0xAAAA);
+            std::vector<std::uint32_t> idxs(n, 0xDEADBEEFu);
+            simd::detail::sigIndexScalar(base.data(), n, xor_term,
+                                         sig_plan, salt, kMul, idx_plan,
+                                         idx_or, sigs.data(),
+                                         idxs.data());
+            EXPECT_EQ(sigs, sig_ref);
+            EXPECT_EQ(idxs, idx_ref);
+            std::vector<std::uint16_t> sigs2(n, 0xAAAA);
+            std::vector<std::uint32_t> idxs2(n, 0xDEADBEEFu);
+            simd::sigIndexLanes(base.data(), n, xor_term, sig_plan, salt,
+                                kMul, idx_plan, idx_or, sigs2.data(),
+                                idxs2.data());
+            EXPECT_EQ(sigs2, sig_ref);
+            EXPECT_EQ(idxs2, idx_ref);
         }
     }
 }
