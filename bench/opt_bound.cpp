@@ -27,15 +27,18 @@ main(int argc, char **argv)
     printBanner("OPT (Belady) bound vs LRU and CHiRP", ctx);
 
     // Each workload's trace is materialized once and serves both
-    // passes.  The suite runs in windows of --jobs workloads: the
-    // window's Bélády jobs take their traces from the runner's store
-    // and leave them resident, and the window's runSuiteMulti call
-    // then replays them (forked --workers inherit them) and drops
-    // them.  At most one window of traces is held at a time.
+    // passes.  The suite runs in windows of max(--jobs, --workers)
+    // workloads, so every forked worker gets a shard: the window's
+    // Bélády jobs, one thread each, take their traces from the
+    // runner's store and leave them resident, and the window's
+    // runSuiteMulti call then replays them (forked --workers inherit
+    // them) and drops them.  At most one window of traces is held at
+    // a time.
     const Runner runner = ctx.runner();
     TraceStore &store = runner.traceStore();
-    const std::size_t window =
+    const std::size_t jobs =
         ctx.jobs ? ctx.jobs : ThreadPool::defaultConcurrency();
+    const std::size_t window = std::max<std::size_t>(jobs, ctx.workers);
     std::vector<OptBoundResult> opt;
     std::vector<WorkloadResult> lru;
     std::vector<WorkloadResult> chirp_results;

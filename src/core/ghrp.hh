@@ -378,48 +378,29 @@ class GhrpPolicy final : public ReplacementPolicy
 
     /**
      * Compose every table's signature and table index for @p pc into
-     * the memo arrays, one SIMD lane per table: the history mask and
-     * XOR-fold for the signatures, then the multiplicative index hash
-     * of sig ^ salt for the indices — the same math PredictionTable::
-     * indexOf performs per call, done once for all tables.
+     * the memo arrays: the history mask and XOR-fold for the
+     * signatures, then the multiplicative index hash of sig ^ salt for
+     * the indices — the same math PredictionTable::indexOf performs
+     * per call, done once for all tables.  One fused scalar pass: with
+     * at most kGhrpMaxTables tables there is nothing for a lane kernel
+     * to win, and the per-table chains overlap in the pipeline.
      */
     void
     composeSignatures(Addr pc)
     {
         const unsigned n = config_.numTables;
         const std::uint64_t base = pc >> 2;
-        if (n <= 4) {
-            // For a handful of tables (the paper's three) one fused
-            // scalar pass beats the lane kernels: no lane-array round
-            // trips, no dispatch, and the per-table chains overlap in
-            // the pipeline.  Bit-identical to the lane path —
+        for (unsigned t = 0; t < n; ++t) {
+            // Index formation sees the stored (16-bit truncated)
+            // signature, exactly as indexOf(storedSig) would.
             // FoldPlan::apply IS foldXor of the same widths.
-            for (unsigned t = 0; t < n; ++t) {
-                // Index formation sees the stored (16-bit truncated)
-                // signature, exactly as indexOf(storedSig) would.
-                const std::uint16_t sig = static_cast<std::uint16_t>(
-                    sigPlan_.apply(base ^ (history_ & histMasks_[t])));
-                memoSigs_[t] = sig;
-                memoIdxs_[t] = bankIndex(
-                    t, idxPlan_.apply(
-                           (static_cast<std::uint64_t>(sig) ^
-                            salts_[t]) *
-                           kIndexHashMultiplier));
-            }
-        } else {
-            std::uint64_t *lanes = memoLanes_.data();
-            for (unsigned t = 0; t < n; ++t)
-                lanes[t] = base ^ (history_ & histMasks_[t]);
-            simd::xorFoldLanes(lanes, n, sigPlan_);
-            for (unsigned t = 0; t < n; ++t)
-                memoSigs_[t] = static_cast<std::uint16_t>(lanes[t]);
-            for (unsigned t = 0; t < n; ++t)
-                lanes[t] = static_cast<std::uint64_t>(memoSigs_[t]) ^
-                           salts_[t];
-            simd::mulXorFoldLanes(lanes, n, kIndexHashMultiplier,
-                                  idxPlan_);
-            for (unsigned t = 0; t < n; ++t)
-                memoIdxs_[t] = bankIndex(t, lanes[t]);
+            const std::uint16_t sig = static_cast<std::uint16_t>(
+                sigPlan_.apply(base ^ (history_ & histMasks_[t])));
+            memoSigs_[t] = sig;
+            memoIdxs_[t] = bankIndex(
+                t, idxPlan_.apply((static_cast<std::uint64_t>(sig) ^
+                                   salts_[t]) *
+                                  kIndexHashMultiplier));
         }
 #ifndef NDEBUG
         for (unsigned t = 0; t < n; ++t) {
@@ -540,7 +521,6 @@ class GhrpPolicy final : public ReplacementPolicy
     std::array<std::uint64_t, kGhrpMaxTables> salts_{};
     std::array<std::uint16_t, kGhrpMaxTables> memoSigs_{};
     std::array<std::uint32_t, kGhrpMaxTables> memoIdxs_{};
-    std::array<std::uint64_t, kGhrpMaxTables> memoLanes_{};
     bool memoValid_ = false;
     Addr memoPc_ = 0;
     // Replay history stream (see setHistoryStream).

@@ -3,13 +3,17 @@
  * Data-parallel kernels for the policy hot paths, one body per
  * platform.
  *
- * The victim scans (dead bits, RRPV values, recency ranks), the TLB
- * tag match and key composition, and GHRP/CHiRP's per-table
- * signature/index composition all walk small contiguous lanes — the
- * shape of the structure-of-arrays set layout.  Each kernel has one
+ * The victim scans (dead bits, RRPV values, recency ranks), the tag
+ * match and the TLB key composition, and the prediction tables'
+ * signature/index hashing all walk small contiguous lanes — the shape
+ * of the structure-of-arrays set layout.  Most kernels have one
  * scalar reference implementation (the semantic contract, including
  * scan order and tie-breaking) and one SSE2 implementation that must
- * return bit-identical results.
+ * return bit-identical results.  A kernel keeps an SSE2 body only
+ * while it beats the scalar one at the lane counts the simulator
+ * calls it with; addToLanes and sigIndexLanes lost that comparison
+ * and are scalar everywhere (EXPERIMENTS.md, "Per-kernel SSE2 vs
+ * scalar").
  *
  * The body is chosen at compile time: x86-64 builds use the SSE2
  * bodies, which the ABI guarantees on every x86-64 host, so no cpuid
@@ -126,9 +130,10 @@ namespace detail
 {
 
 /*
- * Scalar reference kernels.  These define the contract — every SSE2
- * variant below must match them bit-for-bit, including scan order and
- * tie-breaking — and they are the kernels of every non-x86-64 build.
+ * Scalar reference kernels of the two-body kernels.  These define the
+ * contract — every SSE2 variant below must match them bit-for-bit,
+ * including scan order and tie-breaking — and they are the kernels of
+ * every non-x86-64 build.
  */
 
 inline std::size_t
@@ -184,13 +189,6 @@ maxLaneScalar(const std::uint8_t *v, std::size_t n)
     return best;
 }
 
-inline void
-addToLanesScalar(std::uint8_t *v, std::size_t n, std::uint8_t delta)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        v[i] = static_cast<std::uint8_t>(v[i] + delta);
-}
-
 inline std::size_t
 matchTagScalar(const Addr *tags, const std::uint8_t *valid,
                std::size_t n, Addr tag)
@@ -213,37 +211,11 @@ shiftOrScalar(std::uint64_t *v, const std::uint8_t *shifts,
 }
 
 inline void
-xorFoldPlanScalar(std::uint64_t *v, std::size_t n,
-                  const FoldPlan &plan)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        v[i] = plan.apply(v[i]);
-}
-
-inline void
 mulXorFoldPlanScalar(std::uint64_t *v, std::size_t n, std::uint64_t k,
                      const FoldPlan &plan)
 {
     for (std::size_t i = 0; i < n; ++i)
         v[i] = plan.apply(v[i] * k);
-}
-
-inline void
-sigIndexScalar(const std::uint64_t *base, std::size_t n,
-               std::uint64_t xor_term, const FoldPlan &sig_plan,
-               std::uint64_t salt, std::uint64_t k,
-               const FoldPlan &idx_plan, std::uint32_t idx_or,
-               std::uint16_t *sigs, std::uint32_t *idxs)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint16_t sig = static_cast<std::uint16_t>(
-            sig_plan.apply(base[i] ^ xor_term));
-        sigs[i] = sig;
-        idxs[i] =
-            idx_or |
-            static_cast<std::uint32_t>(idx_plan.apply(
-                (static_cast<std::uint64_t>(sig) ^ salt) * k));
-    }
 }
 
 #ifdef CHIRP_SIMD_SSE2
@@ -464,19 +436,6 @@ maxLaneSse2(const std::uint8_t *v, std::size_t n)
     return best;
 }
 
-inline void
-addToLanesSse2(std::uint8_t *v, std::size_t n, std::uint8_t delta)
-{
-    const __m128i d = _mm_set1_epi8(static_cast<char>(delta));
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        __m128i *p = reinterpret_cast<__m128i *>(v + i);
-        _mm_storeu_si128(p, _mm_add_epi8(_mm_loadu_si128(p), d));
-    }
-    for (; i < n; ++i)
-        v[i] = static_cast<std::uint8_t>(v[i] + delta);
-}
-
 inline std::size_t
 matchTagSse2(const Addr *tags, const std::uint8_t *valid,
              std::size_t n, Addr tag)
@@ -576,18 +535,6 @@ foldPlanSse2(__m128i v, const FoldPlan &plan)
 }
 
 inline void
-xorFoldPlanSse2(std::uint64_t *v, std::size_t n, const FoldPlan &plan)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        __m128i *p = reinterpret_cast<__m128i *>(v + i);
-        _mm_storeu_si128(p, foldPlanSse2(_mm_loadu_si128(p), plan));
-    }
-    for (; i < n; ++i)
-        v[i] = plan.apply(v[i]);
-}
-
-inline void
 mulXorFoldPlanSse2(std::uint64_t *v, std::size_t n, std::uint64_t k,
                    const FoldPlan &plan)
 {
@@ -600,52 +547,6 @@ mulXorFoldPlanSse2(std::uint64_t *v, std::size_t n, std::uint64_t k,
     }
     for (; i < n; ++i)
         v[i] = plan.apply(v[i] * k);
-}
-
-inline void
-sigIndexSse2(const std::uint64_t *base, std::size_t n,
-             std::uint64_t xor_term, const FoldPlan &sig_plan,
-             std::uint64_t salt, std::uint64_t k,
-             const FoldPlan &idx_plan, std::uint32_t idx_or,
-             std::uint16_t *sigs, std::uint32_t *idxs)
-{
-    const __m128i xv = _mm_set1_epi64x(static_cast<long long>(xor_term));
-    const __m128i saltv = _mm_set1_epi64x(static_cast<long long>(salt));
-    const __m128i kv = _mm_set1_epi64x(static_cast<long long>(k));
-    const __m128i low16 = _mm_set1_epi64x(0xffff);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        __m128i v = foldPlanSse2(
-            _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                              base + i)),
-                          xv),
-            sig_plan);
-        // Index formation sees the u16-truncated stored signature.
-        v = _mm_and_si128(v, low16);
-        sigs[i] = static_cast<std::uint16_t>(
-            static_cast<std::uint64_t>(_mm_cvtsi128_si64(v)));
-        sigs[i + 1] = static_cast<std::uint16_t>(
-            static_cast<std::uint64_t>(
-                _mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v))));
-        v = foldPlanSse2(mul64Sse2(_mm_xor_si128(v, saltv), kv),
-                         idx_plan);
-        idxs[i] = idx_or |
-                  static_cast<std::uint32_t>(static_cast<std::uint64_t>(
-                      _mm_cvtsi128_si64(v)));
-        idxs[i + 1] =
-            idx_or |
-            static_cast<std::uint32_t>(static_cast<std::uint64_t>(
-                _mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v))));
-    }
-    for (; i < n; ++i) {
-        const std::uint16_t sig = static_cast<std::uint16_t>(
-            sig_plan.apply(base[i] ^ xor_term));
-        sigs[i] = sig;
-        idxs[i] =
-            idx_or |
-            static_cast<std::uint32_t>(idx_plan.apply(
-                (static_cast<std::uint64_t>(sig) ^ salt) * k));
-    }
 }
 
 #endif // CHIRP_SIMD_SSE2
@@ -715,15 +616,16 @@ maxLane(const std::uint8_t *v, std::size_t n)
 #endif
 }
 
-/** Add @p delta to every lane (no saturation; caller bounds it). */
+/**
+ * Add @p delta to every lane (no saturation; caller bounds it).  One
+ * body: an SSE2 body was slower than this loop at the 8-way sets it
+ * runs on.
+ */
 inline void
 addToLanes(std::uint8_t *v, std::size_t n, std::uint8_t delta)
 {
-#ifdef CHIRP_SIMD_SSE2
-    return detail::addToLanesSse2(v, n, delta);
-#else
-    return detail::addToLanesScalar(v, n, delta);
-#endif
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = static_cast<std::uint8_t>(v[i] + delta);
 }
 
 /**
@@ -764,24 +666,9 @@ shiftOrLanes(std::uint64_t *v, const std::uint8_t *shifts,
 }
 
 /**
- * Lane-wise ladder XOR-fold: v[i] = plan.apply(v[i]) for every lane,
- * i.e. foldXor(v[i], nbits) for plan = FoldPlan(nbits) — GHRP's
- * per-table signature composition (one lane per table).
- */
-inline void
-xorFoldLanes(std::uint64_t *v, std::size_t n, const FoldPlan &plan)
-{
-#ifdef CHIRP_SIMD_SSE2
-    return detail::xorFoldPlanSse2(v, n, plan);
-#else
-    return detail::xorFoldPlanScalar(v, n, plan);
-#endif
-}
-
-/**
  * Lane-wise multiplicative index hash: v[i] = plan.apply(v[i] * k) —
- * the indexHash of every prediction table, applied to all lanes at
- * once (GHRP's three table indices per access).
+ * a prediction table's indexHash over a chunk column
+ * (PredictionTable::indexStream, CHiRP's batched miss path).
  */
 inline void
 mulXorFoldLanes(std::uint64_t *v, std::size_t n, std::uint64_t k,
@@ -806,7 +693,9 @@ mulXorFoldLanes(std::uint64_t *v, std::size_t n, std::uint64_t k,
  * indexOf's math) in registers, one pass over @p base (unmodified),
  * instead of separate fill/fold/truncate/salt/hash passes each
  * streaming the chunk through memory.  @p idx_or is OR-ed into every
- * index (a caller's table-bank base); pass 0 for none.
+ * index (a caller's table-bank base); pass 0 for none.  One body: an
+ * SSE2 body, with its 64-bit multiply built from three 32-bit ones,
+ * did not reliably beat this loop at the 256-lane chunks it runs on.
  */
 inline void
 sigIndexLanes(const std::uint64_t *base, std::size_t n,
@@ -815,13 +704,15 @@ sigIndexLanes(const std::uint64_t *base, std::size_t n,
               const FoldPlan &idx_plan, std::uint32_t idx_or,
               std::uint16_t *sigs, std::uint32_t *idxs)
 {
-#ifdef CHIRP_SIMD_SSE2
-    return detail::sigIndexSse2(base, n, xor_term, sig_plan, salt, k,
-                                idx_plan, idx_or, sigs, idxs);
-#else
-    return detail::sigIndexScalar(base, n, xor_term, sig_plan, salt, k,
-                                  idx_plan, idx_or, sigs, idxs);
-#endif
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint16_t sig = static_cast<std::uint16_t>(
+            sig_plan.apply(base[i] ^ xor_term));
+        sigs[i] = sig;
+        idxs[i] =
+            idx_or |
+            static_cast<std::uint32_t>(idx_plan.apply(
+                (static_cast<std::uint64_t>(sig) ^ salt) * k));
+    }
 }
 
 } // namespace simd

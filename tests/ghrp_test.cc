@@ -116,6 +116,30 @@ TEST(Ghrp, TableTrafficOnEveryAccess)
     EXPECT_EQ(policy.tableWrites(), writes + 3);
 }
 
+TEST(Ghrp, MaxTablesTrainDeadAndTouchEveryTable)
+{
+    // The widest configuration goes through the same per-access
+    // signature composition as the paper's three tables (Debug builds
+    // assert it against signatureOf on every access).
+    GhrpConfig config;
+    config.numTables = kGhrpMaxTables;
+    config.tableHistoryBits = {0, 5, 10, 15, 20, 25, 30, 35};
+    GhrpPolicy policy(1, 2, config);
+    const AccessInfo info = loadAt(0x400c00);
+    policy.onFill(0, 0, info);
+    policy.onFill(0, 1, info);
+    for (int i = 0; i < 12; ++i) {
+        const std::uint32_t victim = policy.selectVictim(0, info);
+        policy.onFill(0, victim, info);
+    }
+    const std::uint32_t victim = policy.selectVictim(0, info);
+    policy.onFill(0, victim, info);
+    EXPECT_TRUE(policy.isDead(0, victim));
+    const std::uint64_t reads = policy.tableReads();
+    policy.onHit(0, victim, info);
+    EXPECT_EQ(policy.tableReads(), reads + kGhrpMaxTables);
+}
+
 TEST(Ghrp, ContextSeparatesPredictions)
 {
     GhrpPolicy policy(1, 2);
