@@ -33,57 +33,22 @@ Cache::Cache(const CacheConfig &config)
     resetRanks();
 }
 
-void
-Cache::touch(std::uint32_t set, std::uint32_t way)
-{
-    std::uint8_t *rank = &array_.dataAt(set, 0);
-    const std::uint8_t old = rank[way];
-    for (std::uint32_t w = 0; w < array_.assoc(); ++w)
-        rank[w] += rank[w] < old;
-    rank[way] = 0;
-}
-
-void
-Cache::fillMiss(std::uint32_t set, Addr key)
-{
-    ++misses_;
-    lastKey_ = key;
-    lastValid_ = true;
-    // Exactly one way holds the bottom rank: the lowest-index empty
-    // way while any is left, else the LRU line.
-    const std::uint32_t assoc = array_.assoc();
-    const auto victim = static_cast<std::uint32_t>(simd::firstLaneAtLeast(
-        &array_.dataAt(set, 0), assoc,
-        static_cast<std::uint8_t>(assoc - 1)));
-    array_.fill(set, victim, array_.tagOf(key));
-    touch(set, victim);
-}
-
 bool
 Cache::accessLine(Addr key)
 {
     const std::uint32_t set = array_.setIndex(key);
     const int way = array_.findWay(set, array_.tagOf(key));
-    if (way >= 0) {
-        lastKey_ = key;
-        lastValid_ = true;
-        touch(set, static_cast<std::uint32_t>(way));
-        ++hits_;
-        return true;
+    if (way < 0) {
+        fillMiss(set, key);
+        return false;
     }
-    fillMiss(set, key);
-    return false;
-}
-
-bool
-Cache::fillIfAbsent(Addr addr)
-{
-    const Addr key = lineKey(addr);
-    const std::uint32_t set = array_.setIndex(key);
-    if (array_.findWay(set, array_.tagOf(key)) >= 0)
-        return true;
-    fillMiss(set, key);
-    return false;
+    const std::uint32_t assoc = array_.assoc();
+    std::uint8_t *rank = &array_.dataAt(set, 0);
+    ++hits_;
+    lastKey_ = key;
+    lastValid_ = true;
+    promote(rank, assoc, static_cast<std::uint32_t>(way));
+    return true;
 }
 
 bool

@@ -67,7 +67,16 @@ class Cache
      * state: the last-line memo's line is always resident, so a line
      * that is absent would miss in access() too.
      */
-    bool fillIfAbsent(Addr addr);
+    bool
+    fillIfAbsent(Addr addr)
+    {
+        const Addr key = lineKey(addr);
+        const std::uint32_t set = array_.setIndex(key);
+        if (array_.findWay(set, array_.tagOf(key)) >= 0)
+            return true;
+        fillMiss(set, key);
+        return false;
+    }
 
     /** Hit check without any state change (tests). */
     bool probe(Addr addr) const;
@@ -78,7 +87,13 @@ class Cache
     const CacheConfig &config() const { return config_; }
     Cycles latency() const { return config_.latency; }
 
+    /** Demand hits: access() calls that found their line. */
     std::uint64_t hits() const { return hits_; }
+    /**
+     * Every fill: access() misses plus the prefetch fills
+     * fillIfAbsent() makes.  misses() / (hits() + misses()) is
+     * therefore not the demand miss ratio when a prefetcher runs.
+     */
     std::uint64_t misses() const { return misses_; }
 
   private:
@@ -88,10 +103,39 @@ class Cache
     bool accessLine(Addr key);
 
     /** Count a miss of @p key in @p set and fill it over the LRU way. */
-    void fillMiss(std::uint32_t set, Addr key);
+    void
+    fillMiss(std::uint32_t set, Addr key)
+    {
+        const std::uint32_t assoc = array_.assoc();
+        std::uint8_t *rank = &array_.dataAt(set, 0);
+        ++misses_;
+        lastKey_ = key;
+        lastValid_ = true;
+        // Exactly one way holds the bottom rank: the lowest-index
+        // empty way while any is left, else the LRU line.
+        const auto victim =
+            static_cast<std::uint32_t>(simd::firstLaneAtLeast(
+                rank, assoc, static_cast<std::uint8_t>(assoc - 1)));
+        array_.fill(set, victim, array_.tagOf(key));
+        promote(rank, assoc, victim);
+    }
 
-    /** Make @p way the MRU of @p set. */
-    void touch(std::uint32_t set, std::uint32_t way);
+    /**
+     * Make @p way the MRU of the @p assoc ranks at @p rank.  Callers
+     * read the geometry and the rank pointer into locals first: a
+     * byte store may alias any member, so a bound read through
+     * `this` would be reloaded on every lane and keep the loop
+     * scalar.  With locals the compiler turns it into 16-lane vector
+     * compares and adds (-O3).
+     */
+    static void
+    promote(std::uint8_t *rank, std::uint32_t assoc, std::uint32_t way)
+    {
+        const std::uint8_t old = rank[way];
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            rank[w] += rank[w] < old;
+        rank[way] = 0;
+    }
 
     /** Put every set's ranks back to the initial stack order. */
     void resetRanks();

@@ -1,5 +1,7 @@
 #include "mem/cache_hierarchy.hh"
 
+#include <algorithm>
+
 namespace chirp
 {
 
@@ -24,13 +26,17 @@ CacheHierarchy::prefetchAfterMiss(Cache &l1, Addr addr)
 {
     if (!config_.nextLinePrefetch)
         return;
+    // Stay inside the page: a cross-page prefetch would need its own
+    // translation, which hardware prefetchers avoid.  Line d sits
+    // d * line_bytes past addr, so the run is bounded once by the
+    // whole lines left between addr and the end of its page.
     const Addr line_bytes = config_.l2.lineBytes;
-    for (unsigned d = 1; d <= config_.prefetchDegree; ++d) {
-        const Addr next = addr + d * line_bytes;
-        // Stay inside the page: a cross-page prefetch would need its
-        // own translation, which hardware prefetchers avoid.
-        if (pageBase(next) != pageBase(addr))
-            break;
+    const Addr in_page = (kPageOffsetMask - (addr & kPageOffsetMask)) >>
+                         floorLog2(line_bytes);
+    const Addr degree = std::min<Addr>(config_.prefetchDegree, in_page);
+    Addr next = addr;
+    for (Addr d = 0; d < degree; ++d) {
+        next += line_bytes;
         // A line already in L1 is skipped; otherwise it is filled at
         // every level it is missing from, each with one set scan.
         // Prefetch latency is overlapped with the demand miss.

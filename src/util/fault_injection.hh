@@ -43,7 +43,10 @@
  * (id -1) never fires them.  worker-crash fires at that child's third
  * local job event — mid-shard, after the recorder and one replay have
  * completed, so at least one result has streamed back; msg-truncate
- * fires on an outgoing wire frame.
+ * fires on an outgoing wire frame.  N names a worker id in every
+ * suite call, not one fork: a bench that makes several
+ * runSuiteMulti calls with --workers (opt_bound, one per window)
+ * forks a fresh worker N in each call, and each of them fires.
  *
  *   worker-crash@N[:CODE]  worker N _Exit(CODE)s (default 137) as if
  *                          kill -9'd mid-shard

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "mem/cache_hierarchy.hh"
+#include "support/reference_cache.hh"
 #include "util/random.hh"
 
 namespace chirp
@@ -117,145 +118,24 @@ TEST(Cache, RejectsIndivisibleGeometry)
                 "not divisible");
 }
 
-/**
- * Test-side reference for one cache level, in the plainest form of
- * the replacement contract: per way a valid bit, a tag and a last-use
- * tick; the victim is the first invalid way, else the least recent
- * tick; a repeat of the last line hits without a tick.  Production's
- * byte-rank stacks must reproduce it access for access.
- */
-class RefCache
-{
-  public:
-    explicit RefCache(const CacheConfig &config)
-        : lineBytes_(config.lineBytes), assoc_(config.assoc),
-          sets_(config.sizeBytes / config.lineBytes / config.assoc),
-          ways_(sets_ * assoc_)
-    {
-    }
-
-    bool
-    access(Addr addr)
-    {
-        const Addr line = addr / lineBytes_;
-        if (memoValid_ && line == memoLine_) {
-            ++hits_;
-            return true;
-        }
-        ++tick_;
-        memoLine_ = line;
-        memoValid_ = true;
-        Way *set = &ways_[(line % sets_) * assoc_];
-        const Addr tag = line / sets_;
-        for (std::size_t w = 0; w < assoc_; ++w) {
-            if (set[w].valid && set[w].tag == tag) {
-                set[w].lastUse = tick_;
-                ++hits_;
-                return true;
-            }
-        }
-        ++misses_;
-        std::size_t victim = assoc_;
-        for (std::size_t w = 0; w < assoc_ && victim == assoc_; ++w) {
-            if (!set[w].valid)
-                victim = w;
-        }
-        if (victim == assoc_) {
-            victim = 0;
-            for (std::size_t w = 1; w < assoc_; ++w) {
-                if (set[w].lastUse < set[victim].lastUse)
-                    victim = w;
-            }
-        }
-        set[victim] = Way{true, tag, tick_};
-        return false;
-    }
-
-    bool
-    probe(Addr addr) const
-    {
-        const Addr line = addr / lineBytes_;
-        const Way *set = &ways_[(line % sets_) * assoc_];
-        for (std::size_t w = 0; w < assoc_; ++w) {
-            if (set[w].valid && set[w].tag == line / sets_)
-                return true;
-        }
-        return false;
-    }
-
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-
-  private:
-    struct Way
-    {
-        bool valid = false;
-        Addr tag = 0;
-        std::uint64_t lastUse = 0;
-    };
-
-    std::size_t lineBytes_;
-    std::size_t assoc_;
-    std::size_t sets_;
-    std::vector<Way> ways_;
-    std::uint64_t tick_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    Addr memoLine_ = 0;
-    bool memoValid_ = false;
-};
-
-/** Reference hierarchy: RefCache levels, probe-then-access prefetch. */
-struct RefHierarchy
-{
-    explicit RefHierarchy(const CacheHierarchyConfig &config)
-        : config(config), l1i(config.l1i), l1d(config.l1d), l2(config.l2),
-          l3(config.l3)
-    {
-    }
-
-    Cycles accessInstr(Addr pc) { return access(l1i, pc); }
-    Cycles accessData(Addr addr) { return access(l1d, addr); }
-
-    Cycles
-    access(RefCache &l1, Addr addr)
-    {
-        if (l1.access(addr))
-            return 0;
-        Cycles stall = config.l2.latency;
-        if (!l2.access(addr)) {
-            stall += config.l3.latency;
-            if (!l3.access(addr))
-                stall += config.dramLatency;
-        }
-        for (unsigned d = 1;
-             config.nextLinePrefetch && d <= config.prefetchDegree; ++d) {
-            const Addr next = addr + d * config.l2.lineBytes;
-            if (next / kPageSize != addr / kPageSize)
-                break;
-            if (l1.probe(next))
-                continue;
-            l1.access(next);
-            if (!l2.probe(next))
-                l2.access(next);
-            if (!l3.probe(next))
-                l3.access(next);
-            ++prefetches;
-        }
-        return stall;
-    }
-
-    CacheHierarchyConfig config;
-    RefCache l1i, l1d, l2, l3;
-    std::uint64_t prefetches = 0;
-};
-
 CacheConfig
 levelOf(const std::string &name, std::uint32_t sets, std::uint32_t assoc,
-        Cycles latency)
+        Cycles latency, std::uint32_t line_bytes = 64)
 {
-    return CacheConfig{name, std::uint64_t{sets} * assoc * 64, assoc, 64,
-                       latency};
+    return CacheConfig{name, std::uint64_t{sets} * assoc * line_bytes,
+                       assoc, line_bytes, latency};
+}
+
+/** A small hierarchy of @p assoc-way levels with @p line_bytes lines. */
+CacheHierarchyConfig
+hierarchyOf(std::uint32_t assoc, std::uint32_t line_bytes = 64)
+{
+    CacheHierarchyConfig config;
+    config.l1i = levelOf("l1i", 8, assoc, 4, line_bytes);
+    config.l1d = levelOf("l1d", 8, assoc, 4, line_bytes);
+    config.l2 = levelOf("l2", 32, assoc, 12, line_bytes);
+    config.l3 = levelOf("l3", 64, assoc, 42, line_bytes);
+    return config;
 }
 
 /** Address stream shapes the reference diff runs. */
@@ -275,10 +155,22 @@ streams(Addr span)
         const Addr page = rng.below(4) * (span / 4) & ~(kPageSize - 1);
         return page + rng.below(kPageSize);
     });
+    // Demand misses in the first or the last 128 bytes of a page,
+    // where the prefetch run is cut shortest.
+    out.emplace_back("page-edge", [span](Rng &rng) {
+        const Addr page = rng.below(span / kPageSize + 1) * kPageSize;
+        const Addr edge = rng.below(128);
+        return page + (rng.chance(0.5) ? edge : kPageSize - 1 - edge);
+    });
     return out;
 }
 
-const std::uint32_t kAssocs[] = {1, 2, 4, 8, 16};
+/**
+ * Associativities the reference diffs run: powers of two (Table II
+ * uses 8 and 16) and widths that a body specialised to 8 or 16 ways
+ * would leave to a remainder loop, up to the 255-way maximum.
+ */
+const std::uint32_t kAssocs[] = {1, 2, 3, 4, 8, 12, 16, 32, 255};
 
 TEST(CacheReference, LevelMatchesTickLru)
 {
@@ -286,6 +178,13 @@ TEST(CacheReference, LevelMatchesTickLru)
     for (const std::uint32_t assoc : kAssocs)
         configs.push_back(levelOf("ways" + std::to_string(assoc), 16,
                                   assoc, 1));
+    for (const std::uint32_t line_bytes : {32u, 128u}) {
+        for (const std::uint32_t assoc : {8u, 16u}) {
+            configs.push_back(levelOf("line" + std::to_string(line_bytes) +
+                                          "/ways" + std::to_string(assoc),
+                                      16, assoc, 1, line_bytes));
+        }
+    }
     const CacheHierarchyConfig table2;
     configs.push_back(table2.l1d);
     configs.push_back(table2.l2);
@@ -327,8 +226,9 @@ expectHierarchiesMatch(const CacheHierarchyConfig &config, Addr span)
                           ref.accessInstr(addr))
                     << "fetch " << i << " addr " << addr;
             } else {
-                ASSERT_EQ(hierarchy.accessData(addr, rng.chance(0.3)),
-                          ref.accessData(addr))
+                const bool write = rng.chance(0.3);
+                ASSERT_EQ(hierarchy.accessData(addr, write),
+                          ref.accessData(addr, write))
                     << "access " << i << " addr " << addr;
             }
         }
@@ -350,16 +250,67 @@ TEST(CacheReference, HierarchyMatchesProbeThenAccessPrefetch)
 {
     for (const std::uint32_t assoc : kAssocs) {
         SCOPED_TRACE("assoc " + std::to_string(assoc));
-        CacheHierarchyConfig config;
-        config.l1i = levelOf("l1i", 8, assoc, 4);
-        config.l1d = levelOf("l1d", 8, assoc, 4);
-        config.l2 = levelOf("l2", 32, assoc, 12);
-        config.l3 = levelOf("l3", 64, assoc, 42);
+        const CacheHierarchyConfig config = hierarchyOf(assoc);
         expectHierarchiesMatch(config, config.l3.sizeBytes * 3);
     }
     SCOPED_TRACE("Table II");
     const CacheHierarchyConfig table2;
     expectHierarchiesMatch(table2, table2.l2.sizeBytes * 4);
+}
+
+TEST(CacheReference, HierarchyMatchesAcrossPrefetchShapes)
+{
+    // Degree 64 reaches past the page for every line size here, so
+    // the page bound, not the degree, ends most runs.
+    for (const std::uint32_t line_bytes : {32u, 64u, 128u}) {
+        for (const unsigned degree : {0u, 1u, 8u, 64u}) {
+            SCOPED_TRACE("line " + std::to_string(line_bytes) +
+                         " degree " + std::to_string(degree));
+            CacheHierarchyConfig config = hierarchyOf(8, line_bytes);
+            config.prefetchDegree = degree;
+            expectHierarchiesMatch(config, config.l3.sizeBytes * 3);
+        }
+    }
+    SCOPED_TRACE("prefetch off");
+    CacheHierarchyConfig config = hierarchyOf(8);
+    config.nextLinePrefetch = false;
+    expectHierarchiesMatch(config, config.l3.sizeBytes * 3);
+}
+
+TEST(CacheReference, PrefetchRunEndsAtThePageEdge)
+{
+    const Addr page = 16 * kPageSize;
+    for (const std::uint32_t line_bytes : {32u, 64u, 128u}) {
+        const Addr line = line_bytes;
+        for (const unsigned degree : {0u, 1u, 8u, 64u}) {
+            CacheHierarchyConfig config = hierarchyOf(8, line_bytes);
+            config.prefetchDegree = degree;
+            // Demand misses in the first two and the last two lines.
+            for (const Addr offset :
+                 {Addr{0}, line - 1, line, kPageSize - 2 * line,
+                  kPageSize - line - 1, kPageSize - line, kPageSize - 1}) {
+                SCOPED_TRACE("line " + std::to_string(line) + " degree " +
+                             std::to_string(degree) + " offset " +
+                             std::to_string(offset));
+                const Addr addr = page + offset;
+                // Whole lines after the demand line still in its page.
+                Addr want = 0;
+                while (want < degree &&
+                       pageBase(addr + (want + 1) * line) == page)
+                    ++want;
+                CacheHierarchy hierarchy(config);
+                RefHierarchy ref(config);
+                EXPECT_EQ(hierarchy.accessData(addr, false),
+                          ref.accessData(addr, false));
+                EXPECT_EQ(hierarchy.prefetches(), want);
+                EXPECT_EQ(ref.prefetches, want);
+                for (Addr d = 1; d <= want; ++d)
+                    EXPECT_TRUE(hierarchy.l1d().probe(addr + d * line));
+                EXPECT_FALSE(
+                    hierarchy.l1d().probe(addr + (want + 1) * line));
+            }
+        }
+    }
 }
 
 TEST(CacheReference, ResetEqualsAFreshCache)

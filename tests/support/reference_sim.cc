@@ -1,6 +1,7 @@
 #include "support/reference_sim.hh"
 
 #include "core/lru.hh"
+#include "support/reference_cache.hh"
 #include "tlb/tlb.hh"
 #include "util/logging.hh"
 
@@ -102,7 +103,7 @@ class RefTlb
 ReferenceSim::ReferenceSim(const SimConfig &config,
                            std::unique_ptr<ReplacementPolicy> l2_policy)
     : config_(config), l2Policy_(std::move(l2_policy)),
-      caches_(config.caches), branch_(config.branch)
+      branch_(config.branch)
 {
 }
 
@@ -121,7 +122,7 @@ ReferenceSim::run(const ColumnarTrace &trace)
     RefTlb l1i(l1i_config, l1i_policy);
     RefTlb l1d(l1d_config, l1d_policy);
     RefTlb l2(config_.tlbs.l2, policy);
-    caches_.reset();
+    RefHierarchy caches(config_.caches);
     branch_.reset();
     Cycles walk_cycles = 0;
     // One translation; returns its stall beyond the hidden L1 hit.
@@ -179,7 +180,7 @@ ReferenceSim::run(const ColumnarTrace &trace)
         fetch.isInstr = true;
         cost += translate(fetch, i);
         if (config_.simulateCaches)
-            cost += caches_.accessInstr(rec.pc);
+            cost += caches.accessInstr(rec.pc);
         if (config_.simulateBranch && isBranch(rec.cls))
             cost += branch_.onBranch(rec);
         if (isMemory(rec.cls)) {
@@ -190,8 +191,8 @@ ReferenceSim::run(const ColumnarTrace &trace)
             data.isInstr = false;
             cost += translate(data, i);
             if (config_.simulateCaches)
-                cost += caches_.accessData(rec.effAddr,
-                                           rec.cls == InstClass::Store);
+                cost += caches.accessData(rec.effAddr,
+                                          rec.cls == InstClass::Store);
         }
         if (retire) {
             policy.onInstRetired(rec.pc, rec.cls);

@@ -7,11 +7,16 @@
  * The oracle keeps its own L1 i/d and L2 TLB tag arrays and drives
  * each level's replacement policy through `ReplacementPolicy &` —
  * plain virtual calls, no batching, no repeat-hit memo, no record /
- * replay, no SIMD.  It shares with production only the parts that do
- * not depend on the L2 policy: PageMap, CacheHierarchy, BranchUnit,
- * EfficiencyTracker and Tlb::keyOf.  The equality tests diff every
- * production engine (Simulator::run, replayL2, replayL2Multi,
- * Runner::runSuiteMulti) against it, field for field.
+ * replay, no SIMD.  Its cache hierarchy is the test-side RefHierarchy
+ * (support/reference_cache.hh: tick LRU, line-by-line prefetch), so
+ * the timing-config cases check cycles against a cache model that
+ * production does not share.  It shares with production only
+ * PageMap, BranchUnit, EfficiencyTracker and Tlb::keyOf; the branch
+ * model has no test-side twin yet, so a BranchUnit bug shows only in
+ * `branch_test`, the benchmark's golden digests and the fig08/fig10
+ * CSVs.  The equality tests diff every production engine
+ * (Simulator::run, replayL2, replayL2Multi, Runner::runSuiteMulti)
+ * against it, field for field.
  */
 
 #ifndef CHIRP_TESTS_SUPPORT_REFERENCE_SIM_HH
@@ -22,7 +27,6 @@
 
 #include "branch/branch_unit.hh"
 #include "core/replacement_policy.hh"
-#include "mem/cache_hierarchy.hh"
 #include "sim/sim_config.hh"
 #include "sim/sim_stats.hh"
 #include "tlb/page_map.hh"
@@ -56,7 +60,6 @@ class ReferenceSim
     SimConfig config_;
     const PageMap *pageMap_ = nullptr;
     std::unique_ptr<ReplacementPolicy> l2Policy_;
-    CacheHierarchy caches_;
     BranchUnit branch_;
 };
 
