@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "trace/ingest/ingest.hh"
-#include "trace/trace_store.hh"
 #include "util/hashing.hh"
 #include "util/logging.hh"
 #include "util/quarantine.hh"
@@ -233,20 +232,6 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
         } else if (arg.rfind("--trace-cache=", 0) == 0) {
             ctx.traceCacheDir =
                 arg.substr(std::strlen("--trace-cache="));
-        } else if (arg == "--trace-format" ||
-                   arg.rfind("--trace-format=", 0) == 0) {
-            std::string value;
-            if (arg == "--trace-format") {
-                if (i + 1 >= argc)
-                    chirp_fatal(arg, " needs a format");
-                value = argv[++i];
-            } else {
-                value = arg.substr(std::strlen("--trace-format="));
-            }
-            // Publish through the environment: traceFormat() reads it
-            // at every decision point.
-            ::setenv("CHIRP_TRACE_FORMAT", value.c_str(), 1);
-            traceFormat(); // validate now, not at first use
         } else if (arg == "--trace-in" ||
                    arg.rfind("--trace-in=", 0) == 0) {
             std::string value;
@@ -332,7 +317,6 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: %s [--jobs N] [--trace-cache DIR]\n"
-                "       [--trace-format columnar|mmap]\n"
                 "       [--trace-in PATH]... "
                 "[--trace-in-format auto|champsim|cvp]\n"
                 "       [--ingest-bad-budget N]\n"
@@ -342,10 +326,8 @@ makeContext(int argc, char **argv, std::size_t default_suite_size,
                 "                     (default: hardware concurrency or\n"
                 "                     CHIRP_JOBS; 1 = serial)\n"
                 "  --trace-cache DIR  persist materialized traces in DIR\n"
-                "                     (default: CHIRP_TRACE_CACHE)\n"
-                "  --trace-format F   trace tier: columnar (default)\n"
-                "                     or mmap (zero-copy disk cache);\n"
-                "                     sets CHIRP_TRACE_FORMAT\n"
+                "                     and map them zero-copy on later\n"
+                "                     runs (default: CHIRP_TRACE_CACHE)\n"
                 "  --trace-in PATH    replace the synthetic suite with\n"
                 "                     external trace files (repeatable;\n"
                 "                     or CHIRP_TRACE_IN, comma-\n"

@@ -11,8 +11,9 @@
  * runs every job on the main thread.  Multi-policy sweeps materialize
  * each workload's trace once in the runner's TraceStore and replay
  * it for every policy; `--trace-cache DIR` (or CHIRP_TRACE_CACHE)
- * persists those traces on disk across runs.  CSVs are bit-identical
- * across all of those modes at any job count.
+ * persists those traces on disk across runs, and later runs map the
+ * cached files zero-copy instead of regenerating them.  CSVs are
+ * bit-identical across all of those modes at any job count.
  *
  * Resilience: a failing job no longer aborts a bench.  Failures are
  * isolated per job, retried when transient (`--retries N`), cancelled
@@ -123,7 +124,7 @@ BenchContext makeContext(std::size_t default_suite_size, bool mpki_only);
 /**
  * As above, but also parses the bench command line: `--jobs N` (or
  * `-j N`, `--jobs=N`) selects the suite-runner worker count,
- * `--trace-cache DIR` enables the on-disk trace tier,
+ * `--trace-cache DIR` enables the on-disk (mapped) trace tier,
  * `--retries N` / `--job-timeout MS` tune failure handling,
  * `--resume` continues an interrupted run from its journal,
  * `--journal PATH` / `--no-journal` override the default

@@ -13,7 +13,9 @@
 #include "core/policy_factory.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_file.hh"
+#include "trace/trace_store.hh"
 #include "trace/synthetic/workload_factory.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 using namespace chirp;
@@ -38,19 +40,26 @@ main(int argc, char **argv)
                         program->dataFootprintPages()),
                     static_cast<unsigned long long>(
                         program->layout().codePages()));
-        TraceFileWriter writer(path);
+        ColumnarTrace trace;
         TraceRecord rec;
         while (program->next(rec))
-            writer.append(rec);
-        writer.close();
-        std::printf("wrote %llu records to %s\n\n",
-                    static_cast<unsigned long long>(writer.count()),
+            trace.append(rec);
+        if (!writeTraceFile(path, trace))
+            chirp_fatal("cannot write trace file '", path, "'");
+        std::printf("wrote %zu records to %s\n\n", trace.size(),
                     path.c_str());
     }
 
+    // Every read of the file goes through one zero-copy mapping,
+    // validated (header, size, per-column checksums) before use.
+    std::string reason;
+    const SharedTrace trace = mapTraceFile(path, &reason);
+    if (!trace)
+        chirp_fatal("cannot read trace file '", path, "': ", reason);
+
     // 2. Inspect: instruction-class histogram and footprint.
     {
-        TraceFileSource source(path);
+        MemoryTraceSource source(trace, path);
         std::map<InstClass, std::uint64_t> classes;
         std::map<Addr, std::uint64_t> pages;
         TraceRecord rec;
@@ -64,7 +73,7 @@ main(int argc, char **argv)
         for (const auto &[cls, count] : classes) {
             table.row({instClassName(cls), TableFormatter::num(count),
                        TableFormatter::num(100.0 * count /
-                                               source.count(),
+                                               trace->size(),
                                            1)});
         }
         table.print();
@@ -81,7 +90,7 @@ main(int argc, char **argv)
                                  config.tlbs.l2.entries /
                                      config.tlbs.l2.assoc,
                                  config.tlbs.l2.assoc));
-        TraceFileSource source(path);
+        MemoryTraceSource source(trace, path);
         const SimStats stats = sim.run(source);
         std::printf("replayed under CHiRP: MPKI %.3f, IPC %.3f, "
                     "table access rate %.3f\n",

@@ -2,32 +2,12 @@
 
 #include <cstring>
 
-#include "util/logging.hh"
-
 namespace chirp
 {
 
 ColumnarTrace::ColumnarTrace(const std::vector<TraceRecord> &records)
 {
     appendBatch(records.data(), records.size());
-}
-
-ColumnarTrace::ColumnarTrace(std::vector<Addr> pc,
-                             std::vector<Addr> eff_addr,
-                             std::vector<Addr> target,
-                             std::vector<std::uint8_t> meta)
-    : pcStore_(std::move(pc)), effAddrStore_(std::move(eff_addr)),
-      targetStore_(std::move(target)), metaStore_(std::move(meta))
-{
-    if (effAddrStore_.size() != pcStore_.size() ||
-        targetStore_.size() != pcStore_.size() ||
-        metaStore_.size() != pcStore_.size())
-        chirp_fatal("columnar trace: adopted columns disagree on size");
-    pc_ = pcStore_.data();
-    effAddr_ = effAddrStore_.data();
-    target_ = targetStore_.data();
-    meta_ = metaStore_.data();
-    size_ = pcStore_.size();
 }
 
 ColumnarTrace::ColumnarTrace(const Addr *pc, const Addr *eff_addr,

@@ -11,9 +11,9 @@
  * only the columns they read and the on-disk v2 format can be mapped
  * into memory and consumed in place.
  *
- * The columns are either owned (built from a generator or loaded from
- * a streaming reader) or borrowed from an externally managed region
- * (the mmap'd zero-copy disk tier); the borrowed form carries a
+ * The columns are either owned (built from a generator or an ingested
+ * trace) or borrowed from a mapped .chtr file (mapTraceFile); the
+ * borrowed form carries a
  * release callback that unmaps the region when the last SharedTrace
  * handle drops.
  */
@@ -55,16 +55,7 @@ class ColumnarTrace
     explicit ColumnarTrace(const std::vector<TraceRecord> &records);
 
     /**
-     * Adopt already-columnar storage (the streaming disk loader
-     * reads each v2 column straight into these vectors — no
-     * row-major detour).  All four columns must be the same length.
-     */
-    ColumnarTrace(std::vector<Addr> pc, std::vector<Addr> eff_addr,
-                  std::vector<Addr> target,
-                  std::vector<std::uint8_t> meta);
-
-    /**
-     * Zero-copy view over externally owned columns (the mmap tier).
+     * Zero-copy view over externally owned columns (mapTraceFile).
      * The pointers must stay valid for the trace's lifetime; @p
      * release runs exactly once at destruction (unmapping the file).
      */

@@ -2,7 +2,8 @@
  * @file
  * The decode-failure taxonomy shared by every path that parses bytes
  * it did not produce: the external-trace ingest readers (ChampSim /
- * CVP front-end) and the trace-cache tier's probe/load validators.
+ * CVP front-end) and the .chtr reader (mapTraceFile) behind the
+ * trace cache.
  *
  * External trace files are the first untrusted input this codebase
  * parses, so every way a decode can go wrong gets a named kind, a
@@ -63,7 +64,7 @@ struct DecodeError
 
     /**
      * "kind (detail) at byte N" — the one rendering every quarantine
-     * log and probe reason uses, so cache-tier and ingest-tier
+     * log and mapTraceFile reason uses, so cache-tier and ingest-tier
      * failures read identically.
      */
     std::string format() const;

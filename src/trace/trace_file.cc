@@ -1,7 +1,8 @@
 #include "trace/trace_file.hh"
 
-#include <algorithm>
 #include <bit>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include <fcntl.h>
@@ -23,8 +24,14 @@ constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 constexpr std::uint64_t kHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kNumColumns = 4;
-constexpr bool kLittleEndian =
-    std::endian::native == std::endian::little;
+/** Bytes per record across the four columns (3 x u64 + meta u8). */
+constexpr std::uint64_t kBytesPerRecord = 3 * 8 + 1;
+/** Size of an empty trace: header plus checksum footer. */
+constexpr std::uint64_t kMinFileBytes = kHeaderBytes + 8 * kNumColumns;
+
+// The columns are written and mapped in host byte order.
+static_assert(std::endian::native == std::endian::little,
+              "the .chtr trace format requires a little-endian host");
 
 /** Byte offsets of every section of a v2 file holding @p n records. */
 struct Layout
@@ -93,85 +100,13 @@ columnChecksum(const std::uint8_t *data, std::size_t len)
     return h;
 }
 
-void
-put32(std::FILE *f, std::uint32_t v)
-{
-    std::uint8_t buf[4];
-    for (int i = 0; i < 4; ++i)
-        buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    std::fwrite(buf, 1, sizeof(buf), f);
-}
-
-void
-put64(std::FILE *f, std::uint64_t v)
-{
-    std::uint8_t buf[8];
-    for (int i = 0; i < 8; ++i)
-        buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    std::fwrite(buf, 1, sizeof(buf), f);
-}
-
-bool
-get32(std::FILE *f, std::uint32_t &v)
-{
-    std::uint8_t buf[4];
-    if (std::fread(buf, 1, sizeof(buf), f) != sizeof(buf))
-        return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(buf[i]) << (8 * i);
-    return true;
-}
-
-bool
-get64(std::FILE *f, std::uint64_t &v)
-{
-    std::uint8_t buf[8];
-    if (std::fread(buf, 1, sizeof(buf), f) != sizeof(buf))
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-    return true;
-}
-
-/** Convert an in-memory Addr chunk to/from the file's LE layout. */
-void
-fixEndian(Addr *values, std::size_t n)
-{
-    if constexpr (kLittleEndian) {
-        (void)values;
-        (void)n;
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            values[i] = __builtin_bswap64(values[i]);
-    }
-}
-
-/**
- * Write one u64 column in file (LE) byte order, accumulating the
- * FNV-1a checksum over the bytes as laid down on disk.
- */
+/** Write one column's bytes and return their checksum. */
 std::uint64_t
-writeAddrColumn(std::FILE *f, const Addr *values, std::uint64_t n)
+writeColumn(std::FILE *f, const void *data, std::size_t bytes)
 {
-    if constexpr (kLittleEndian) {
-        if (n > 0)
-            std::fwrite(values, sizeof(Addr), n, f);
-        return columnChecksum(
-            reinterpret_cast<const std::uint8_t *>(values),
-            static_cast<std::size_t>(n) * sizeof(Addr));
-    }
-    // Big-endian host: the checksum covers the on-disk (LE) bytes and
-    // is defined over the whole column, so build the swapped column
-    // once and write/fold it in one shot.
-    std::vector<Addr> le(values, values + n);
-    fixEndian(le.data(), le.size());
-    if (n > 0)
-        std::fwrite(le.data(), sizeof(Addr), le.size(), f);
-    return columnChecksum(
-        reinterpret_cast<const std::uint8_t *>(le.data()),
-        le.size() * sizeof(Addr));
+    if (bytes > 0)
+        std::fwrite(data, 1, bytes, f);
+    return columnChecksum(static_cast<const std::uint8_t *>(data), bytes);
 }
 
 /** Lay down a complete v2 file body; error state stays on @p f. */
@@ -179,23 +114,22 @@ void
 writeAll(std::FILE *f, const ColumnarTrace &trace)
 {
     const std::uint64_t n = trace.size();
+    const std::size_t addr_bytes =
+        static_cast<std::size_t>(n) * sizeof(Addr);
     const Layout lay = layoutFor(n);
     std::fwrite(kMagic, 1, sizeof(kMagic), f);
-    put32(f, kTraceFormatVersion);
-    put64(f, n);
-    std::uint64_t sums[kNumColumns];
-    sums[0] = writeAddrColumn(f, trace.pc(), n);
-    sums[1] = writeAddrColumn(f, trace.effAddr(), n);
-    sums[2] = writeAddrColumn(f, trace.target(), n);
-    if (n > 0)
-        std::fwrite(trace.meta(), 1, n, f);
-    sums[3] = columnChecksum(trace.meta(),
-                             static_cast<std::size_t>(n));
+    std::fwrite(&kTraceFormatVersion, sizeof(kTraceFormatVersion), 1, f);
+    std::fwrite(&n, sizeof(n), 1, f);
+    const std::uint64_t sums[kNumColumns] = {
+        writeColumn(f, trace.pc(), addr_bytes),
+        writeColumn(f, trace.effAddr(), addr_bytes),
+        writeColumn(f, trace.target(), addr_bytes),
+        writeColumn(f, trace.meta(), static_cast<std::size_t>(n)),
+    };
     const std::uint8_t pad[8] = {};
     if (lay.padBytes > 0)
         std::fwrite(pad, 1, static_cast<std::size_t>(lay.padBytes), f);
-    for (const std::uint64_t sum : sums)
-        put64(f, sum);
+    std::fwrite(sums, sizeof(sums[0]), kNumColumns, f);
 }
 
 /** Flush, fsync and close @p f; true when every write stuck. */
@@ -237,262 +171,88 @@ instClassName(InstClass cls)
     }
 }
 
-TraceFileWriter::TraceFileWriter(const std::string &path)
-    : path_(path), file_(std::fopen(path.c_str(), "wb"))
-{
-    if (!file_)
-        chirp_fatal("cannot open trace file '", path, "' for writing");
-}
-
-TraceFileWriter::~TraceFileWriter()
-{
-    if (!closed_)
-        close();
-}
-
-void
-TraceFileWriter::append(const TraceRecord &rec)
-{
-    if (closed_)
-        chirp_fatal("append to closed trace file '", path_, "'");
-    buf_.append(rec);
-}
-
 bool
-TraceFileWriter::close()
-{
-    if (closed_)
-        return true;
-    writeAll(file_, buf_);
-    // Surface any buffered write failure (disk full, I/O error) and
-    // make the bytes durable before the caller publishes the file.
-    const bool ok = finishFile(file_);
-    file_ = nullptr;
-    closed_ = true;
-    return ok;
-}
-
-bool
-TraceFileWriter::writeFile(const std::string &path,
-                           const ColumnarTrace &trace)
+writeTraceFile(const std::string &path, const ColumnarTrace &trace)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         return false;
     writeAll(f, trace);
+    // Surface any buffered write failure (disk full, I/O error) and
+    // make the bytes durable before the caller publishes the file.
     return finishFile(f);
-}
-
-TraceFileSource::TraceFileSource(const std::string &path)
-    : file_(std::fopen(path.c_str(), "rb"))
-{
-    name_ = path;
-    if (!file_)
-        chirp_fatal("cannot open trace file '", path, "'");
-    char magic[4];
-    if (std::fread(magic, 1, sizeof(magic), file_) != sizeof(magic) ||
-        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-        chirp_fatal("'", path, "' is not a chirp trace file");
-    }
-    std::uint32_t version = 0;
-    if (!get32(file_, version) || version != kTraceFormatVersion)
-        chirp_fatal("'", path, "' has unsupported trace version ", version);
-    if (!get64(file_, count_))
-        chirp_fatal("'", path, "' is truncated (no record count)");
-}
-
-TraceFileSource::~TraceFileSource()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
-bool
-TraceFileSource::probe(const std::string &path, std::string *reason)
-{
-    // Failure reasons use the ingest tier's DecodeError taxonomy, so
-    // a quarantine log line reads the same whether the bad bytes came
-    // from a cache file or a hostile --trace-in file.
-    const auto refuse = [&](const DecodeError &why) {
-        if (reason)
-            *reason = why.format();
-        return false;
-    };
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return refuse({DecodeErrorKind::Unreadable, 0, ""});
-    bool ok = false;
-    DecodeError why;
-    char magic[4];
-    std::uint32_t version = 0;
-    std::uint64_t count = 0;
-    if (std::fread(magic, 1, sizeof(magic), f) != sizeof(magic) ||
-        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-        why = {DecodeErrorKind::BadMagic, 0, "not a chirp trace"};
-    } else if (!get32(f, version) || version != kTraceFormatVersion) {
-        why = {DecodeErrorKind::BadVersion, 4,
-               detail::concat("version ", version)};
-    } else if (!get64(f, count)) {
-        why = {DecodeErrorKind::TruncatedHeader, 8, "no record count"};
-    } else if (std::fseek(f, 0, SEEK_END) != 0) {
-        why = {DecodeErrorKind::Unreadable, 0, "unseekable"};
-    } else {
-        const long size = std::ftell(f);
-        const std::uint64_t expected = layoutFor(count).fileSize;
-        ok = size >= 0 && static_cast<std::uint64_t>(size) == expected;
-        if (!ok) {
-            why = {DecodeErrorKind::SizeMismatch, 0,
-                   detail::concat("size ", size, " != expected ",
-                                  expected, " for ", count, " records")};
-        }
-    }
-    std::fclose(f);
-    return ok ? true : refuse(why);
-}
-
-bool
-TraceFileSource::verifyChecksum()
-{
-    if (verified_)
-        return true;
-    const Layout lay = layoutFor(count_);
-    const std::uint64_t starts[kNumColumns] = {
-        lay.pcOff, lay.effAddrOff, lay.targetOff, lay.metaOff};
-    const std::uint64_t widths[kNumColumns] = {8, 8, 8, 1};
-    std::uint64_t sums[kNumColumns];
-    // The checksum is defined over a whole column, so each column is
-    // read into one buffer and folded in a single shot.
-    std::vector<std::uint8_t> buf;
-    bool ok = true;
-    for (std::size_t c = 0; ok && c < kNumColumns; ++c) {
-        const std::size_t bytes =
-            static_cast<std::size_t>(count_ * widths[c]);
-        buf.resize(bytes);
-        if (std::fseek(file_, static_cast<long>(starts[c]),
-                       SEEK_SET) != 0 ||
-            (bytes > 0 &&
-             std::fread(buf.data(), 1, bytes, file_) != bytes)) {
-            ok = false;
-            break;
-        }
-        sums[c] = columnChecksum(buf.data(), bytes);
-    }
-    if (ok) {
-        if (std::fseek(file_, static_cast<long>(lay.footerOff),
-                       SEEK_SET) != 0)
-            ok = false;
-        for (std::size_t c = 0; ok && c < kNumColumns; ++c) {
-            std::uint64_t stored = 0;
-            ok = get64(file_, stored) && stored == sums[c];
-        }
-    }
-    if (ok)
-        verified_ = true;
-    std::clearerr(file_);
-    return ok;
-}
-
-std::size_t
-TraceFileSource::nextBatch(TraceRecord *out, std::size_t n)
-{
-    constexpr std::size_t kChunk = 256;
-    Addr pcBuf[kChunk], eaBuf[kChunk], tgBuf[kChunk];
-    std::uint8_t metaBuf[kChunk];
-    const Layout lay = layoutFor(count_);
-    std::size_t total = 0;
-    // All reads seek to absolute column offsets, so the stream
-    // position carries no state between calls (read_ does).
-    const auto read_chunk = [&](void *dst, std::uint64_t off,
-                                std::size_t bytes) {
-        if (std::fseek(file_, static_cast<long>(off), SEEK_SET) != 0 ||
-            std::fread(dst, 1, bytes, file_) != bytes)
-            chirp_fatal("'", name(), "' is truncated at record ", read_);
-    };
-    while (total < n && read_ < count_) {
-        const std::size_t want = std::min<std::size_t>(
-            {n - total, kChunk,
-             static_cast<std::size_t>(count_ - read_)});
-        read_chunk(pcBuf, lay.pcOff + 8 * read_, want * 8);
-        read_chunk(eaBuf, lay.effAddrOff + 8 * read_, want * 8);
-        read_chunk(tgBuf, lay.targetOff + 8 * read_, want * 8);
-        read_chunk(metaBuf, lay.metaOff + read_, want);
-        fixEndian(pcBuf, want);
-        fixEndian(eaBuf, want);
-        fixEndian(tgBuf, want);
-        for (std::size_t i = 0; i < want; ++i) {
-            TraceRecord &rec = out[total + i];
-            rec.pc = pcBuf[i];
-            rec.effAddr = eaBuf[i];
-            rec.target = tgBuf[i];
-            rec.cls = static_cast<InstClass>(metaBuf[i] &
-                                             ColumnarTrace::kClsMask);
-            rec.taken = (metaBuf[i] & ColumnarTrace::kTakenBit) != 0;
-        }
-        total += want;
-        read_ += want;
-    }
-    if (read_ >= count_)
-        verifyFooter();
-    return total;
-}
-
-bool
-TraceFileSource::next(TraceRecord &rec)
-{
-    return nextBatch(&rec, 1) == 1;
-}
-
-void
-TraceFileSource::verifyFooter()
-{
-    if (verified_)
-        return;
-    // The lane-striped column checksum is defined whole-column, so
-    // end-of-stream validation re-reads each column in one shot
-    // rather than folding record chunks as they stream by.  This
-    // source is the reference/testing reader — the cache tiers use
-    // the bulk loaders below — so the extra pass is off every hot
-    // path.
-    if (!verifyChecksum())
-        chirp_fatal("'", name(), "' failed checksum validation");
-}
-
-void
-TraceFileSource::reset()
-{
-    read_ = 0;
 }
 
 std::shared_ptr<const ColumnarTrace>
 mapTraceFile(const std::string &path, std::string *reason)
 {
+    // Failure reasons use the ingest tier's DecodeError taxonomy, so
+    // a quarantine log line reads the same whether the bad bytes came
+    // from a cache file or a hostile --trace-in file.
     const auto refuse = [&](const DecodeError &why)
         -> std::shared_ptr<const ColumnarTrace> {
         if (reason)
             *reason = why.format();
         return nullptr;
     };
-    if (!kLittleEndian) {
-        // The columns would need byte-swapping, defeating zero-copy;
-        // the streaming tier still works everywhere.
-        return refuse({DecodeErrorKind::Unreadable, 0,
-                       "mmap tier requires a little-endian host"});
-    }
-    if (!TraceFileSource::probe(path, reason))
-        return nullptr;
-    const int fd = ::open(path.c_str(), O_RDONLY);
+    // O_NONBLOCK: opening a FIFO planted under the cache name must not
+    // wait for a writer; fstat then refuses it as not a regular file.
+    const int fd =
+        ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
     if (fd < 0)
-        return refuse({DecodeErrorKind::Unreadable, 0, ""});
+        return refuse({DecodeErrorKind::Unreadable, 0,
+                       std::strerror(errno)});
     struct stat st = {};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
         ::close(fd);
-        return refuse({DecodeErrorKind::Unreadable, 0, "fstat failed"});
+        return refuse({DecodeErrorKind::Unreadable, 0,
+                       "not a regular file"});
     }
     const std::size_t len = static_cast<std::size_t>(st.st_size);
+    if (len < sizeof(kMagic)) {
+        // Too short to hold a magic (mmap refuses a 0-byte length).
+        ::close(fd);
+        return refuse({DecodeErrorKind::BadMagic, 0, "not a chirp trace"});
+    }
     void *base = ::mmap(nullptr, len, PROT_READ, MAP_SHARED, fd, 0);
     ::close(fd); // the mapping keeps its own reference
     if (base == MAP_FAILED)
         return refuse({DecodeErrorKind::Unreadable, 0, "mmap failed"});
+    const auto unmapAndRefuse = [&](const DecodeError &why) {
+        ::munmap(base, len);
+        return refuse(why);
+    };
+    const std::uint8_t *bytes = static_cast<const std::uint8_t *>(base);
+    if (std::memcmp(bytes, kMagic, sizeof(kMagic)) != 0)
+        return unmapAndRefuse(
+            {DecodeErrorKind::BadMagic, 0, "not a chirp trace"});
+    std::uint32_t version = 0;
+    if (len >= 8)
+        std::memcpy(&version, bytes + 4, sizeof(version));
+    if (version != kTraceFormatVersion)
+        return unmapAndRefuse({DecodeErrorKind::BadVersion, 4,
+                               detail::concat("version ", version)});
+    if (len < kHeaderBytes)
+        return unmapAndRefuse(
+            {DecodeErrorKind::TruncatedHeader, 8, "no record count"});
+    std::uint64_t count = 0;
+    std::memcpy(&count, bytes + 8, sizeof(count));
+    // Bound the count by the file size before any layout arithmetic:
+    // a hostile count would otherwise wrap the expected size in 64
+    // bits and send the checksum pass past the end of the mapping.
+    const std::uint64_t size = len;
+    if (size < kMinFileBytes ||
+        count > (size - kMinFileBytes) / kBytesPerRecord)
+        return unmapAndRefuse(
+            {DecodeErrorKind::SizeMismatch, 0,
+             detail::concat("size ", size, " too small for ", count,
+                            " records")});
+    const Layout lay = layoutFor(count);
+    if (lay.fileSize != size)
+        return unmapAndRefuse(
+            {DecodeErrorKind::SizeMismatch, 0,
+             detail::concat("size ", size, " != expected ",
+                            lay.fileSize, " for ", count, " records")});
     // The replay will touch every column front to back; huge pages
     // cut TLB pressure where the kernel supports them for file
     // mappings (harmless where it does not).
@@ -500,10 +260,6 @@ mapTraceFile(const std::string &path, std::string *reason)
 #ifdef MADV_HUGEPAGE
     ::madvise(base, len, MADV_HUGEPAGE);
 #endif
-    const std::uint8_t *bytes = static_cast<const std::uint8_t *>(base);
-    std::uint64_t count = 0;
-    std::memcpy(&count, bytes + 8, sizeof(count));
-    const Layout lay = layoutFor(count);
     const std::uint8_t *cols[kNumColumns] = {
         bytes + lay.pcOff, bytes + lay.effAddrOff,
         bytes + lay.targetOff, bytes + lay.metaOff};
@@ -514,12 +270,10 @@ mapTraceFile(const std::string &path, std::string *reason)
         std::uint64_t stored = 0;
         std::memcpy(&stored, bytes + lay.footerOff + 8 * c,
                     sizeof(stored));
-        if (sum != stored) {
-            ::munmap(base, len);
-            return refuse({DecodeErrorKind::ChecksumMismatch,
-                           lay.footerOff + 8 * c,
-                           detail::concat("column ", c)});
-        }
+        if (sum != stored)
+            return unmapAndRefuse({DecodeErrorKind::ChecksumMismatch,
+                                   lay.footerOff + 8 * c,
+                                   detail::concat("column ", c)});
     }
     return std::make_shared<const ColumnarTrace>(
         reinterpret_cast<const Addr *>(cols[0]),
@@ -527,80 +281,6 @@ mapTraceFile(const std::string &path, std::string *reason)
         reinterpret_cast<const Addr *>(cols[2]), cols[3],
         static_cast<std::size_t>(count),
         [base, len] { ::munmap(base, len); });
-}
-
-std::shared_ptr<const ColumnarTrace>
-readTraceFile(const std::string &path, std::string *reason)
-{
-    // The streaming analog of mapTraceFile: one pass that freads
-    // each column straight into its owned vector and folds the
-    // checksum over the same bytes, instead of a verify pass
-    // followed by a record-at-a-time gather/scatter round trip.
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    const auto refuse = [&](const DecodeError &why)
-        -> std::shared_ptr<const ColumnarTrace> {
-        if (f)
-            std::fclose(f);
-        if (reason)
-            *reason = why.format();
-        return nullptr;
-    };
-    if (!f)
-        return refuse({DecodeErrorKind::Unreadable, 0, ""});
-    char magic[4];
-    std::uint32_t version = 0;
-    std::uint64_t count = 0;
-    if (std::fread(magic, 1, sizeof(magic), f) != sizeof(magic) ||
-        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        return refuse({DecodeErrorKind::BadMagic, 0, "not a chirp trace"});
-    if (!get32(f, version) || version != kTraceFormatVersion)
-        return refuse({DecodeErrorKind::BadVersion, 4,
-                       detail::concat("version ", version)});
-    if (!get64(f, count))
-        return refuse(
-            {DecodeErrorKind::TruncatedHeader, 8, "no record count"});
-    const std::size_t n = static_cast<std::size_t>(count);
-    std::uint64_t sums[kNumColumns];
-    std::vector<Addr> pc(n), ea(n), tg(n);
-    std::vector<std::uint8_t> meta(n);
-    Addr *addr_cols[3] = {pc.data(), ea.data(), tg.data()};
-    for (std::size_t c = 0; c < 3; ++c) {
-        if (n > 0 &&
-            std::fread(addr_cols[c], sizeof(Addr), n, f) != n)
-            return refuse({DecodeErrorKind::TruncatedColumn,
-                           static_cast<std::uint64_t>(std::ftell(f)),
-                           detail::concat("column ", c)});
-        // The footer covers the on-disk (LE) bytes: fold the sum
-        // before any endian fix so it matches the writer's.
-        sums[c] = columnChecksum(
-            reinterpret_cast<const std::uint8_t *>(addr_cols[c]),
-            n * sizeof(Addr));
-        fixEndian(addr_cols[c], n);
-    }
-    if (n > 0 && std::fread(meta.data(), 1, n, f) != n)
-        return refuse({DecodeErrorKind::TruncatedColumn,
-                       static_cast<std::uint64_t>(std::ftell(f)),
-                       "meta column"});
-    sums[3] = columnChecksum(meta.data(), n);
-    const Layout lay = layoutFor(count);
-    if (lay.padBytes > 0 &&
-        std::fseek(f, static_cast<long>(lay.padBytes), SEEK_CUR) != 0)
-        return refuse({DecodeErrorKind::TruncatedFooter,
-                       lay.footerOff, "padding"});
-    for (std::size_t c = 0; c < kNumColumns; ++c) {
-        std::uint64_t stored = 0;
-        if (!get64(f, stored))
-            return refuse({DecodeErrorKind::TruncatedFooter,
-                           lay.footerOff + 8 * c, ""});
-        if (stored != sums[c])
-            return refuse({DecodeErrorKind::ChecksumMismatch,
-                           lay.footerOff + 8 * c,
-                           detail::concat("column ", c)});
-    }
-    std::fclose(f);
-    f = nullptr;
-    return std::make_shared<const ColumnarTrace>(
-        std::move(pc), std::move(ea), std::move(tg), std::move(meta));
 }
 
 } // namespace chirp

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <filesystem>
 
+#include <unistd.h>
+
 #include "trace/ingest/ingest.hh"
 #include "trace/trace_file.hh"
 #include "util/atomic_file.hh"
@@ -15,33 +17,6 @@
 
 namespace chirp
 {
-
-TraceFormat
-traceFormat()
-{
-    const char *value = std::getenv("CHIRP_TRACE_FORMAT");
-    if (!value || !*value)
-        return TraceFormat::Columnar;
-    const std::string name(value);
-    if (name == "columnar")
-        return TraceFormat::Columnar;
-    if (name == "mmap")
-        return TraceFormat::Mmap;
-    chirp_fatal("CHIRP_TRACE_FORMAT: unknown format '", name,
-                "' (expected columnar or mmap)");
-}
-
-const char *
-traceFormatName(TraceFormat format)
-{
-    switch (format) {
-      case TraceFormat::Columnar:
-        return "columnar";
-      case TraceFormat::Mmap:
-        return "mmap";
-    }
-    return "?";
-}
 
 std::uint64_t
 workloadTraceKey(const WorkloadConfig &config)
@@ -85,7 +60,7 @@ namespace
 /**
  * Run the generator straight into owned columns through a small
  * row-major bounce buffer: the records never materialize as one big
- * array-of-structs, so the columnar tiers skip both that allocation
+ * array-of-structs, so the store skips both that allocation
  * and the full-trace transpose afterwards.
  */
 std::shared_ptr<ColumnarTrace>
@@ -107,13 +82,11 @@ TraceStore::TraceStore()
 {
     if (const char *env = std::getenv("CHIRP_TRACE_CACHE"); env && *env)
         cacheDir_ = env;
-    traceFormat(); // validate now, not at the first disk load
 }
 
 TraceStore::TraceStore(std::string cache_dir)
     : cacheDir_(std::move(cache_dir))
 {
-    traceFormat(); // validate now, not at the first disk load
 }
 
 std::string
@@ -196,49 +169,22 @@ TraceStore::loadFromDisk(const WorkloadConfig &config,
     std::error_code ec;
     if (!fs::exists(path, ec))
         return nullptr;
+    // Map the columns read-only and replay them in place; every
+    // process mapping this file shares one physical copy through the
+    // page cache.  mapTraceFile verifies the header, size and
+    // checksums on the mapped bytes before the trace is trusted.
     std::string reason;
-    if (!TraceFileSource::probe(path, &reason)) {
-        quarantine(path, reason);
-        return nullptr;
-    }
-    if (traceFormat() == TraceFormat::Mmap) {
-        // Zero-copy tier: map the columns read-only and replay them
-        // in place; every process mapping this file shares one
-        // physical copy through the page cache.  Checksums are
-        // verified through the mapping before the trace is trusted,
-        // so corruption quarantines exactly as in the streaming tier.
-        if (auto mapped = mapTraceFile(path, &reason)) {
-            if (mapped->size() == config.length) {
-                diskLoads_.fetch_add(1);
-                mapped_.fetch_add(1);
-                return mapped;
-            }
-            reason = DecodeError{DecodeErrorKind::CountMismatch, 8,
-                                 detail::concat("record count ",
-                                                mapped->size(),
-                                                " != expected ",
-                                                config.length)}
-                         .format();
-        }
-        quarantine(path, reason);
-        return nullptr;
-    }
-    // Streaming tier: one bulk pass reads each column straight into
-    // its owned vector, folding the checksums over the same bytes
-    // (the old loader verified in one pass and then re-read the file
-    // record-at-a-time, which made a warm cache slower than
-    // regenerating).
-    if (auto trace = readTraceFile(path, &reason)) {
-        if (trace->size() == config.length) {
+    if (auto mapped = mapTraceFile(path, &reason)) {
+        if (mapped->size() == config.length) {
             diskLoads_.fetch_add(1);
-            return trace;
+            return mapped;
         }
         // Stale rather than corrupt (a key collision across
         // different lengths), but quarantining is still the right
         // recovery: keep the evidence, regenerate the trace.
         reason = DecodeError{DecodeErrorKind::CountMismatch, 8,
                              detail::concat("record count ",
-                                            trace->size(),
+                                            mapped->size(),
                                             " != expected ",
                                             config.length)}
                      .format();
@@ -280,12 +226,15 @@ TraceStore::saveToDisk(const ColumnarTrace &trace,
         return;
     }
     // Write to a private temp name and rename so concurrent processes
-    // only ever observe complete files.
+    // only ever observe complete files.  The pid keeps the name private
+    // across processes (forked --workers children, and separate runs
+    // without ASLR, share the same store address); the address keeps
+    // it private across stores in one process.
     const std::string tmp =
-        path + ".tmp." +
+        path + ".tmp." + std::to_string(::getpid()) + "." +
         std::to_string(static_cast<unsigned long long>(
             reinterpret_cast<std::uintptr_t>(this)));
-    if (!TraceFileWriter::writeFile(tmp, trace)) {
+    if (!writeTraceFile(tmp, trace)) {
         fs::remove(tmp, ec);
         chirp_warn("trace cache: write to '", tmp,
                    "' failed, caching disabled for this trace");

@@ -9,21 +9,21 @@
  * a P-policy sweep used to re-run the full pattern machinery P times
  * per workload.  The store keys each materialized stream by the
  * stream-determining fields of its WorkloadConfig, hands it out as a
- * shared_ptr to an immutable vector, and optionally persists it in
- * the TraceFileWriter format under a cache directory
+ * shared_ptr to an immutable vector, and optionally persists it as a
+ * .chtr file (writeTraceFile) under a cache directory
  * (CHIRP_TRACE_CACHE or --trace-cache DIR) so repeated bench runs
- * skip generation entirely.  Cached files are checksum-verified
- * eagerly before being trusted; a corrupt candidate is quarantined
- * (renamed to "<file>.corrupt" with a logged reason) and the trace is
+ * skip generation entirely.  Cached files are mapped zero-copy
+ * (mapTraceFile) and checksum-verified before being trusted, so
+ * concurrent processes share one physical copy through the page
+ * cache; a corrupt candidate is quarantined (renamed to
+ * "<file>.corrupt" with a logged reason) and the trace is
  * regenerated, so one bad file can never wedge a suite.
  *
  * Memory: streams are stored column-major (ColumnarTrace), 25 B per
  * record, so a default 500k-instruction workload costs ~12.5 MB
- * resident and cached.  Under the mmap trace format the disk tier is
- * mapped read-only instead of copied, so concurrent processes share
- * one physical copy through the page cache.  Multi-policy suite runs
- * drop() each workload once every policy has replayed it, bounding
- * residency to the in-flight jobs rather than the whole suite.
+ * resident and cached.  Multi-policy suite runs drop() each workload
+ * once every policy has replayed it, bounding residency to the
+ * in-flight jobs rather than the whole suite.
  */
 
 #ifndef CHIRP_TRACE_TRACE_STORE_HH
@@ -50,28 +50,29 @@ namespace chirp
 using SharedTrace = std::shared_ptr<const ColumnarTrace>;
 
 /**
- * How traces are stored and replayed, selected by the
- * --trace-format flag / CHIRP_TRACE_FORMAT environment variable:
- *
- *  - Columnar (default): traces live in private memory.
- *  - Mmap: Columnar, plus disk-cache loads map the file zero-copy
- *    instead of streaming it into private memory.
+ * How traces are stored and replayed.  There is one way: in memory,
+ * with disk-cache loads mapped zero-copy.  Kept, with traceFormat()
+ * and traceFormatName(), only because the benchmark program prints
+ * the name in its fingerprint.
  */
 enum class TraceFormat : std::uint8_t
 {
-    Columnar,
     Mmap,
 };
 
-/**
- * The active format from CHIRP_TRACE_FORMAT ("columnar" or "mmap";
- * unset/empty means Columnar).  Read fresh each call so tests can
- * flip it between runs in one process; fatal on any other value.
- */
-TraceFormat traceFormat();
+/** The trace format in use (always Mmap). */
+constexpr TraceFormat
+traceFormat()
+{
+    return TraceFormat::Mmap;
+}
 
 /** Printable name of a trace format. */
-const char *traceFormatName(TraceFormat format);
+constexpr const char *
+traceFormatName(TraceFormat)
+{
+    return "mmap";
+}
 
 /**
  * Key over the fields of @p config that determine the emitted record
@@ -142,11 +143,7 @@ class MemoryTraceSource : public TraceSource
 class TraceStore
 {
   public:
-    /**
-     * Cache directory from CHIRP_TRACE_CACHE ("" = memory only).
-     * Both constructors validate CHIRP_TRACE_FORMAT (fatal on an
-     * unknown value), which only disk loads consult.
-     */
+    /** Cache directory from CHIRP_TRACE_CACHE ("" = memory only). */
     TraceStore();
 
     /** Explicit cache directory; empty disables the disk tier. */
@@ -173,11 +170,11 @@ class TraceStore
     // Provenance counters (tests and bench diagnostics).
     /** Streams produced by running the generator. */
     std::uint64_t generated() const { return generated_.load(); }
-    /** Streams loaded from a verified disk-cache file. */
+    /** Streams mapped zero-copy from a verified disk-cache file. */
     std::uint64_t diskLoads() const { return diskLoads_.load(); }
-    /** Disk loads satisfied zero-copy via mapTraceFile (a subset of
-     *  diskLoads; nonzero only under the mmap trace format). */
-    std::uint64_t mappedLoads() const { return mapped_.load(); }
+    /** Same as diskLoads(): every disk load is a mapping.  Kept only
+     *  for the benchmark program's trace.mapped_loads metric. */
+    std::uint64_t mappedLoads() const { return diskLoads(); }
     /** Disk-cache candidates rejected as corrupt/stale. */
     std::uint64_t rejectedCaches() const { return rejected_.load(); }
     /** Rejected candidates renamed aside as "<file>.corrupt". */
@@ -198,7 +195,6 @@ class TraceStore
     std::map<std::uint64_t, std::shared_future<SharedTrace>> entries_;
     std::atomic<std::uint64_t> generated_{0};
     std::atomic<std::uint64_t> diskLoads_{0};
-    std::atomic<std::uint64_t> mapped_{0};
     std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> quarantined_{0};
     std::atomic<std::uint64_t> ingested_{0};

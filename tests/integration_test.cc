@@ -11,6 +11,7 @@
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_file.hh"
+#include "trace/trace_store.hh"
 
 namespace chirp
 {
@@ -120,13 +121,8 @@ TEST(Integration, FileRoundTripPreservesSimulation)
     workload.seed = 8;
     workload.length = 60000;
     const std::string path = ::testing::TempDir() + "roundtrip_sim.chtr";
-    {
-        const auto program = buildWorkload(workload);
-        TraceFileWriter writer(path);
-        TraceRecord rec;
-        while (program->next(rec))
-            writer.append(rec);
-    }
+    ASSERT_TRUE(writeTraceFile(
+        path, ColumnarTrace(materializeWorkload(workload))));
     const SimConfig config = fastConfig();
     const std::uint32_t sets =
         config.tlbs.l2.entries / config.tlbs.l2.assoc;
@@ -138,7 +134,10 @@ TEST(Integration, FileRoundTripPreservesSimulation)
 
     Simulator replay(config, makePolicy(PolicyKind::Chirp, sets,
                                         config.tlbs.l2.assoc));
-    TraceFileSource source(path);
+    std::string reason;
+    SharedTrace mapped = mapTraceFile(path, &reason);
+    ASSERT_NE(mapped, nullptr) << reason;
+    MemoryTraceSource source(std::move(mapped), path);
     const SimStats from_file = replay.run(source);
 
     EXPECT_EQ(from_generator.cycles, from_file.cycles);

@@ -158,12 +158,8 @@ TEST(TraceBatch, FileSourceBatchesMatchScalar)
     const std::string path = ::testing::TempDir() + "batch.chtr";
     const auto records =
         materializeWorkload(makeConfig(Category::Crypto, 8, 1500));
-    {
-        TraceFileWriter writer(path);
-        for (const auto &rec : records)
-            writer.append(rec);
-    }
-    TraceFileSource source(path);
+    ASSERT_TRUE(writeTraceFile(path, ColumnarTrace(records)));
+    MemoryTraceSource source(mapTraceFile(path), path);
     EXPECT_EQ(drainScalar(source), records);
     for (const std::size_t batch : kBatchSizes) {
         SCOPED_TRACE("batch=" + std::to_string(batch));

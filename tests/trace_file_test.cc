@@ -1,11 +1,16 @@
-/** @file Tests for the binary trace file format. */
+/** @file Tests for the binary trace file format: writer and mapped reader. */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
+#include <sys/stat.h>
+
+#include "trace/ingest/decode_error.hh"
 #include "trace/trace_file.hh"
+#include "trace/trace_store.hh"
 
 namespace chirp
 {
@@ -28,42 +33,71 @@ sampleRecords()
     return records;
 }
 
+/** Write @p records to a fresh temp file and return its path. */
+std::string
+writeTrace(const char *tag, const std::vector<TraceRecord> &records)
+{
+    const std::string path = ::testing::TempDir() + tag;
+    EXPECT_TRUE(writeTraceFile(path, ColumnarTrace(records)));
+    return path;
+}
+
+/** Write raw @p bytes to a fresh temp file and return its path. */
+std::string
+writeBytes(const char *tag, const std::vector<std::uint8_t> &bytes)
+{
+    const std::string path = ::testing::TempDir() + tag;
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    if (!bytes.empty())
+        std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+    return path;
+}
+
+/** XOR @p mask into the byte at @p offset of @p path. */
+void
+flipByte(const std::string &path, long offset, int mask)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, offset, SEEK_SET);
+    const int c = std::fgetc(f);
+    std::fseek(f, offset, SEEK_SET);
+    std::fputc(c ^ mask, f);
+    std::fclose(f);
+}
+
+/**
+ * Map @p path, expect a refusal, and return its reason; the test
+ * fails unless the reason names @p kind.
+ */
+std::string
+expectRefused(const std::string &path, DecodeErrorKind kind)
+{
+    std::string reason;
+    EXPECT_EQ(mapTraceFile(path, &reason), nullptr) << path;
+    EXPECT_NE(reason.find(decodeErrorKindName(kind)), std::string::npos)
+        << "expected '" << decodeErrorKindName(kind) << "', got '"
+        << reason << "'";
+    return reason;
+}
+
 TEST(TraceFile, RoundTripsRecords)
 {
-    const std::string path = ::testing::TempDir() + "roundtrip.chtr";
     const auto records = sampleRecords();
-    {
-        TraceFileWriter writer(path);
-        for (const auto &rec : records)
-            writer.append(rec);
-        writer.close();
-        EXPECT_EQ(writer.count(), records.size());
-    }
-
-    TraceFileSource source(path);
-    EXPECT_EQ(source.count(), records.size());
-    EXPECT_EQ(source.expectedLength(), records.size());
-    TraceRecord rec;
-    std::size_t i = 0;
-    while (source.next(rec)) {
-        ASSERT_LT(i, records.size());
-        EXPECT_EQ(rec, records[i]) << "record " << i;
-        ++i;
-    }
-    EXPECT_EQ(i, records.size());
+    const std::string path = writeTrace("roundtrip.chtr", records);
+    std::string reason;
+    const auto mapped = mapTraceFile(path, &reason);
+    ASSERT_NE(mapped, nullptr) << reason;
+    EXPECT_EQ(*mapped, records);
     std::remove(path.c_str());
 }
 
 TEST(TraceFile, ResetReplaysIdentically)
 {
-    const std::string path = ::testing::TempDir() + "reset.chtr";
-    {
-        TraceFileWriter writer(path);
-        for (const auto &rec : sampleRecords())
-            writer.append(rec);
-    } // destructor closes
-
-    TraceFileSource source(path);
+    const std::string path = writeTrace("reset.chtr", sampleRecords());
+    MemoryTraceSource source(mapTraceFile(path), path);
     std::vector<TraceRecord> first;
     std::vector<TraceRecord> second;
     TraceRecord rec;
@@ -72,156 +106,125 @@ TEST(TraceFile, ResetReplaysIdentically)
     source.reset();
     while (source.next(rec))
         second.push_back(rec);
+    EXPECT_EQ(first, sampleRecords());
     EXPECT_EQ(first, second);
     std::remove(path.c_str());
 }
 
 TEST(TraceFile, EmptyTraceIsValid)
 {
-    const std::string path = ::testing::TempDir() + "empty.chtr";
-    {
-        TraceFileWriter writer(path);
-    }
-    TraceFileSource source(path);
-    TraceRecord rec;
-    EXPECT_FALSE(source.next(rec));
+    const std::string path = writeTrace("empty.chtr", {});
+    EXPECT_EQ(std::filesystem::file_size(path), 48u)
+        << "header plus checksum footer";
+    std::string reason;
+    const auto mapped = mapTraceFile(path, &reason);
+    ASSERT_NE(mapped, nullptr) << reason;
+    EXPECT_EQ(mapped->size(), 0u);
     std::remove(path.c_str());
 }
 
-TEST(TraceFile, ChecksumDetectsCorruption)
+TEST(TraceFile, RejectsMissingFile)
 {
-    const std::string path = ::testing::TempDir() + "corrupt.chtr";
-    {
-        TraceFileWriter writer(path);
-        for (const auto &rec : sampleRecords())
-            writer.append(rec);
-    }
-    // Flip a byte in the middle of the record payload.
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 16 + 26 * 10 + 3, SEEK_SET);
-        const int c = std::fgetc(f);
-        std::fseek(f, -1, SEEK_CUR);
-        std::fputc(c ^ 0xff, f);
-        std::fclose(f);
-    }
-    TraceFileSource source(path);
-    TraceRecord rec;
-    // Reading records succeeds; checksum validation at the end is
-    // what catches the corruption (fatal -> process exit).
-    EXPECT_EXIT(
-        {
-            while (source.next(rec)) {
-            }
-        },
-        ::testing::ExitedWithCode(1), "checksum");
+    expectRefused(::testing::TempDir() + "does_not_exist.chtr",
+                  DecodeErrorKind::Unreadable);
+}
+
+TEST(TraceFile, RejectsFifoWithoutBlocking)
+{
+    // A FIFO has no writer here: a blocking open would never return.
+    const std::string path = ::testing::TempDir() + "fifo.chtr";
+    std::remove(path.c_str());
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    expectRefused(path, DecodeErrorKind::Unreadable);
     std::remove(path.c_str());
 }
 
-TEST(TraceFile, VerifyChecksumAcceptsIntactFiles)
+TEST(TraceFile, RejectsBadMagic)
 {
-    const std::string path = ::testing::TempDir() + "verify_ok.chtr";
+    const char text[] = "this is not a trace";
+    const std::string path = writeBytes(
+        "garbage.chtr",
+        std::vector<std::uint8_t>(text, text + sizeof(text) - 1));
+    expectRefused(path, DecodeErrorKind::BadMagic);
+    std::remove(path.c_str());
+}
+
+TEST(TraceFile, RejectsVersion1)
+{
+    const std::string path = writeTrace("v1.chtr", sampleRecords());
+    flipByte(path, 4, 2 ^ 1); // version 2 -> 1
+    const std::string reason =
+        expectRefused(path, DecodeErrorKind::BadVersion);
+    EXPECT_NE(reason.find("version 1"), std::string::npos) << reason;
+    std::remove(path.c_str());
+}
+
+TEST(TraceFile, RejectsEmptyAndShortHeaderFiles)
+{
+    const std::string empty = writeBytes("zero.chtr", {});
+    expectRefused(empty, DecodeErrorKind::BadMagic);
+    std::remove(empty.c_str());
+
+    // Magic and version intact, record count cut short.
+    const std::string path =
+        writeTrace("short_header.chtr", sampleRecords());
+    std::filesystem::resize_file(path, 15);
+    expectRefused(path, DecodeErrorKind::TruncatedHeader);
+    std::remove(path.c_str());
+}
+
+TEST(TraceFile, RejectsSizeMismatch)
+{
+    // Header claims more records than the file holds.
+    const std::string path = writeTrace("trunc.chtr", sampleRecords());
+    std::filesystem::resize_file(path, 16 + 25 * 50);
+    expectRefused(path, DecodeErrorKind::SizeMismatch);
+    std::remove(path.c_str());
+
+    // Trailing bytes past the footer: the count fits, the size does not.
+    const std::string grown = writeTrace("grown.chtr", sampleRecords());
+    std::filesystem::resize_file(grown,
+                                 std::filesystem::file_size(grown) + 8);
+    expectRefused(grown, DecodeErrorKind::SizeMismatch);
+    std::remove(grown.c_str());
+}
+
+TEST(TraceFile, RejectsCountThatWrapsTheExpectedSize)
+{
+    // 72 bytes: magic, version 2, a record count whose expected file
+    // size wraps around 2^64, and zero fill.  The count must be
+    // bounded by the file size before any layout arithmetic, or the
+    // checksum pass reads past the end of the mapping.
+    std::vector<std::uint8_t> bytes(72, 0);
+    const std::uint32_t version = 2;
+    const std::uint64_t count = 0x70a3d70a3d70a3d8ull;
+    std::memcpy(bytes.data(), "CHTR", 4);
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    std::memcpy(bytes.data() + 8, &count, sizeof(count));
+    const std::string path = writeBytes("wrapped_count.chtr", bytes);
+    expectRefused(path, DecodeErrorKind::SizeMismatch);
+    std::remove(path.c_str());
+}
+
+TEST(TraceFile, RejectsBitFlipInEachColumn)
+{
     const auto records = sampleRecords();
-    {
-        TraceFileWriter writer(path);
-        for (const auto &rec : records)
-            writer.append(rec);
+    const long n = static_cast<long>(records.size());
+    // One byte inside each column: pc, effAddr, target, meta.
+    const long offsets[4] = {16 + 8 * 10 + 3, 16 + 8 * n + 8 * 42,
+                             16 + 16 * n + 8 * 7 + 5, 16 + 24 * n + 61};
+    for (int c = 0; c < 4; ++c) {
+        SCOPED_TRACE("column " + std::to_string(c));
+        const std::string path =
+            writeTrace("bitflip_column.chtr", records);
+        flipByte(path, offsets[c], 0x01);
+        const std::string reason =
+            expectRefused(path, DecodeErrorKind::ChecksumMismatch);
+        EXPECT_NE(reason.find("column " + std::to_string(c)),
+                  std::string::npos)
+            << reason;
+        std::remove(path.c_str());
     }
-    TraceFileSource source(path);
-    EXPECT_TRUE(source.verifyChecksum());
-    // Verification must not disturb the read position: the full
-    // stream still replays.
-    TraceRecord rec;
-    std::size_t i = 0;
-    while (source.next(rec))
-        EXPECT_EQ(rec, records[i++]);
-    EXPECT_EQ(i, records.size());
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, VerifyChecksumRejectsCorruption)
-{
-    const std::string path = ::testing::TempDir() + "verify_bad.chtr";
-    {
-        TraceFileWriter writer(path);
-        for (const auto &rec : sampleRecords())
-            writer.append(rec);
-    }
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 16 + 26 * 42, SEEK_SET);
-        const int c = std::fgetc(f);
-        std::fseek(f, -1, SEEK_CUR);
-        std::fputc(c ^ 0x01, f);
-        std::fclose(f);
-    }
-    TraceFileSource source(path);
-    EXPECT_FALSE(source.verifyChecksum())
-        << "eager verification flags the flipped byte";
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, ProbeClassifiesFiles)
-{
-    const std::string good = ::testing::TempDir() + "probe_good.chtr";
-    {
-        TraceFileWriter writer(good);
-        for (const auto &rec : sampleRecords())
-            writer.append(rec);
-    }
-    EXPECT_TRUE(TraceFileSource::probe(good));
-
-    const std::string garbage = ::testing::TempDir() + "probe_bad.chtr";
-    {
-        std::FILE *f = std::fopen(garbage.c_str(), "wb");
-        std::fputs("not a trace at all", f);
-        std::fclose(f);
-    }
-    EXPECT_FALSE(TraceFileSource::probe(garbage));
-
-    // Truncated payload: header claims more records than the file
-    // holds.
-    const std::string truncated =
-        ::testing::TempDir() + "probe_trunc.chtr";
-    std::filesystem::copy_file(
-        good, truncated,
-        std::filesystem::copy_options::overwrite_existing);
-    std::filesystem::resize_file(truncated, 16 + 26 * 50);
-    EXPECT_FALSE(TraceFileSource::probe(truncated));
-
-    EXPECT_FALSE(TraceFileSource::probe(
-        ::testing::TempDir() + "does_not_exist.chtr"));
-
-    std::remove(good.c_str());
-    std::remove(garbage.c_str());
-    std::remove(truncated.c_str());
-}
-
-TEST(TraceFile, RejectsGarbageFiles)
-{
-    const std::string path = ::testing::TempDir() + "garbage.chtr";
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        std::fputs("this is not a trace", f);
-        std::fclose(f);
-    }
-    EXPECT_EXIT({ TraceFileSource source(path); },
-                ::testing::ExitedWithCode(1), "not a chirp trace");
-    std::remove(path.c_str());
-}
-
-/** Write @p records to a fresh temp file and return its path. */
-std::string
-writeTrace(const char *tag, const std::vector<TraceRecord> &records)
-{
-    const std::string path = ::testing::TempDir() + tag;
-    TraceFileWriter writer(path);
-    for (const auto &rec : records)
-        writer.append(rec);
-    EXPECT_TRUE(writer.close());
-    return path;
 }
 
 /**
@@ -261,11 +264,6 @@ TEST(TraceMap, MapsPartialTailPage)
     // partially used tail page, replays from the mapping.
     for (std::size_t i = 0; i < records.size(); ++i)
         EXPECT_EQ(mapped->record(i), records[i]) << "record " << i;
-
-    // The streaming loader agrees byte for byte.
-    const auto streamed = readTraceFile(path, &reason);
-    ASSERT_NE(streamed, nullptr) << reason;
-    EXPECT_EQ(*mapped, *streamed);
     std::remove(path.c_str());
 }
 
@@ -286,42 +284,13 @@ TEST(TraceMap, MapOutlivesEarlierHandles)
               records.back());
 }
 
-TEST(TraceMap, RejectsBitFlip)
-{
-    const std::string path =
-        writeTrace("map_bitflip.chtr", tailPageRecords());
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 16 + 8 * 57 + 2, SEEK_SET);
-        const int c = std::fgetc(f);
-        std::fseek(f, -1, SEEK_CUR);
-        std::fputc(c ^ 0x40, f);
-        std::fclose(f);
-    }
-    std::string map_reason;
-    EXPECT_EQ(mapTraceFile(path, &map_reason), nullptr);
-    EXPECT_NE(map_reason.find("checksum"), std::string::npos)
-        << map_reason;
-    // Parity: the streaming loader refuses the same file for the
-    // same reason, so both tiers quarantine identically upstream.
-    std::string read_reason;
-    EXPECT_EQ(readTraceFile(path, &read_reason), nullptr);
-    EXPECT_NE(read_reason.find("checksum"), std::string::npos)
-        << read_reason;
-    std::remove(path.c_str());
-}
-
 TEST(TraceMap, RejectsTruncation)
 {
     const std::string path =
         writeTrace("map_trunc.chtr", tailPageRecords());
     std::filesystem::resize_file(
         path, std::filesystem::file_size(path) - 40);
-    std::string reason;
-    EXPECT_EQ(mapTraceFile(path, &reason), nullptr);
-    EXPECT_FALSE(reason.empty());
-    EXPECT_EQ(readTraceFile(path), nullptr);
+    expectRefused(path, DecodeErrorKind::SizeMismatch);
     std::remove(path.c_str());
 }
 

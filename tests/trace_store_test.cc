@@ -1,18 +1,17 @@
 /**
  * @file
  * Tests for the materialized trace store: one generation per
- * workload shared across getters, stream-key isolation, the on-disk
- * cache tier (round trip, corruption rejection, regeneration), and
- * residency bookkeeping via drop().
+ * workload shared across getters, stream-key isolation, the mapped
+ * on-disk cache tier (round trip, corruption rejection, quarantine,
+ * regeneration), and residency bookkeeping via drop().
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 
-#include "bench/harness.hh"
 #include "trace/trace_file.hh"
 #include "trace/trace_store.hh"
 #include "util/fault_injection.hh"
@@ -129,44 +128,14 @@ TEST(TraceStore, DiskTierRoundTrips)
     EXPECT_TRUE(std::filesystem::exists(writer.cachePath(config)))
         << "materialization persisted to the cache dir";
 
-    // A second store must satisfy the request from disk alone.
+    // A second store must satisfy the request from disk alone, by
+    // mapping the file rather than copying it.
     TraceStore reader(dir);
     const auto loaded = reader.get(config);
     EXPECT_EQ(reader.generated(), 0u);
     EXPECT_EQ(reader.diskLoads(), 1u);
     EXPECT_EQ(*loaded, *generated);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(TraceStore, CorruptedCacheIsRejectedAndRegenerated)
-{
-    const std::string dir = freshCacheDir("corrupt");
-    const auto config = sampleConfig(Category::BigData, 11, 6000);
-
-    TraceStore writer(dir);
-    const auto generated = writer.get(config);
-    const std::string path = writer.cachePath(config);
-    ASSERT_TRUE(std::filesystem::exists(path));
-
-    // Flip one byte in the record payload; the eager checksum pass
-    // must refuse the file and fall back to the generator.
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 16 + 26 * 3 + 1, SEEK_SET);
-        const int c = std::fgetc(f);
-        std::fseek(f, -1, SEEK_CUR);
-        std::fputc(c ^ 0xff, f);
-        std::fclose(f);
-    }
-
-    TraceStore reader(dir);
-    const auto regenerated = reader.get(config);
-    EXPECT_EQ(reader.rejectedCaches(), 1u);
-    EXPECT_EQ(reader.diskLoads(), 0u);
-    EXPECT_EQ(reader.generated(), 1u);
-    EXPECT_EQ(*regenerated, *generated)
-        << "regenerated stream is the pristine one";
+    EXPECT_EQ(*loaded, *mapTraceFile(writer.cachePath(config)));
     std::filesystem::remove_all(dir);
 }
 
@@ -189,9 +158,8 @@ TEST(TraceStore, StaleLengthCacheIsRejected)
         // Rewrite the file with fewer records than the config needs.
         auto short_config = config;
         short_config.length = 100;
-        TraceFileWriter writer(path);
-        for (const auto &rec : materializeWorkload(short_config))
-            writer.append(rec);
+        ASSERT_TRUE(writeTraceFile(
+            path, ColumnarTrace(materializeWorkload(short_config))));
     }
     TraceStore reader(dir);
     const auto trace = reader.get(config);
@@ -211,7 +179,7 @@ TEST(TraceStore, TruncatedCacheIsQuarantined)
     const std::string path = writer.cachePath(config);
     ASSERT_TRUE(std::filesystem::exists(path));
 
-    // Cut the file in half: the probe's size check must refuse it,
+    // Cut the file in half: the size check must refuse it,
     // rename it aside as evidence, and regenerate.
     std::filesystem::resize_file(
         path, std::filesystem::file_size(path) / 2);
@@ -238,84 +206,6 @@ TEST(TraceStore, TruncatedCacheIsQuarantined)
 TEST(TraceStore, BitFlippedCacheIsQuarantined)
 {
     const std::string dir = freshCacheDir("bitflip");
-    const auto config = sampleConfig(Category::Spec, 19, 3000);
-
-    TraceStore writer(dir);
-    const auto generated = writer.get(config);
-    const std::string path = writer.cachePath(config);
-    ASSERT_TRUE(std::filesystem::exists(path));
-
-    // Single flipped bit mid-payload: structure stays plausible, so
-    // only the checksum pass can catch it.
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 16 + 26 * 10, SEEK_SET);
-        const int c = std::fgetc(f);
-        std::fseek(f, -1, SEEK_CUR);
-        std::fputc(c ^ 0x01, f);
-        std::fclose(f);
-    }
-
-    TraceStore reader(dir);
-    const auto regenerated = reader.get(config);
-    EXPECT_EQ(reader.quarantinedCaches(), 1u);
-    EXPECT_EQ(reader.generated(), 1u);
-    EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
-    EXPECT_EQ(*regenerated, *generated);
-    std::filesystem::remove_all(dir);
-}
-
-/** Pin CHIRP_TRACE_FORMAT for one test, restoring the prior value. */
-class ScopedTraceFormat
-{
-  public:
-    explicit ScopedTraceFormat(const char *format)
-    {
-        if (const char *prev = std::getenv("CHIRP_TRACE_FORMAT"))
-            saved_ = prev;
-        ::setenv("CHIRP_TRACE_FORMAT", format, 1);
-    }
-
-    ~ScopedTraceFormat()
-    {
-        if (saved_.empty())
-            ::unsetenv("CHIRP_TRACE_FORMAT");
-        else
-            ::setenv("CHIRP_TRACE_FORMAT", saved_.c_str(), 1);
-    }
-
-    ScopedTraceFormat(const ScopedTraceFormat &) = delete;
-    ScopedTraceFormat &operator=(const ScopedTraceFormat &) = delete;
-
-  private:
-    std::string saved_;
-};
-
-TEST(TraceStoreMmap, DiskTierServesZeroCopyMappings)
-{
-    const ScopedTraceFormat format("mmap");
-    const std::string dir = freshCacheDir("mmap_roundtrip");
-    const auto config = sampleConfig(Category::Scientific, 23, 7000);
-
-    TraceStore writer(dir);
-    const auto generated = writer.get(config);
-    EXPECT_EQ(writer.generated(), 1u);
-
-    TraceStore reader(dir);
-    const auto mapped = reader.get(config);
-    EXPECT_EQ(reader.generated(), 0u);
-    EXPECT_EQ(reader.diskLoads(), 1u);
-    EXPECT_EQ(reader.mappedLoads(), 1u)
-        << "the mmap tier must map, not copy, the cache file";
-    EXPECT_EQ(*mapped, *generated);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(TraceStoreMmap, BitFlippedCacheQuarantinesLikeStreamingTier)
-{
-    const ScopedTraceFormat format("mmap");
-    const std::string dir = freshCacheDir("mmap_bitflip");
     const auto config = sampleConfig(Category::Database, 29, 3000);
 
     TraceStore writer(dir);
@@ -323,9 +213,9 @@ TEST(TraceStoreMmap, BitFlippedCacheQuarantinesLikeStreamingTier)
     const std::string path = writer.cachePath(config);
     ASSERT_TRUE(std::filesystem::exists(path));
 
-    // Same single-bit corruption the streaming-tier test injects: the
-    // mapped checksum pass must catch it before the trace is trusted,
-    // quarantine the file identically, and fall back to the generator.
+    // Single flipped bit in the pc column: structure stays plausible,
+    // so only the checksum pass over the mapping can catch it, and it
+    // must do so before the trace is trusted.
     {
         std::FILE *f = std::fopen(path.c_str(), "r+b");
         ASSERT_NE(f, nullptr);
@@ -338,35 +228,65 @@ TEST(TraceStoreMmap, BitFlippedCacheQuarantinesLikeStreamingTier)
 
     TraceStore reader(dir);
     const auto regenerated = reader.get(config);
-    EXPECT_EQ(reader.mappedLoads(), 0u);
+    EXPECT_EQ(reader.diskLoads(), 0u);
     EXPECT_EQ(reader.quarantinedCaches(), 1u);
     EXPECT_EQ(reader.rejectedCaches(), 1u);
     EXPECT_EQ(reader.generated(), 1u);
     EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"))
-        << "mmap tier keeps the same .corrupt evidence trail";
-    EXPECT_EQ(*regenerated, *generated);
+        << "bad file kept for post-mortem";
+    EXPECT_EQ(*regenerated, *generated)
+        << "regenerated stream is the pristine one";
 
-    // The re-published replacement serves zero-copy again.
+    // The re-published replacement is mapped again.
     TraceStore again(dir);
     EXPECT_EQ(*again.get(config), *generated);
-    EXPECT_EQ(again.mappedLoads(), 1u);
+    EXPECT_EQ(again.diskLoads(), 1u);
     EXPECT_EQ(again.quarantinedCaches(), 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceStore, WrappedCountCacheIsQuarantined)
+{
+    const std::string dir = freshCacheDir("wrapped_count");
+    const auto config = sampleConfig(Category::Crypto, 41, 2000);
+
+    // A 72-byte cache file whose record count wraps the expected file
+    // size around 2^64 back to 72 bytes.  It must be refused as a size
+    // mismatch and quarantined, never mapped and read past its end.
+    const TraceStore probe(dir);
+    const std::string path = probe.cachePath(config);
+    std::filesystem::create_directories(dir);
+    {
+        std::uint8_t bytes[72] = {};
+        const std::uint32_t version = kTraceFormatVersion;
+        const std::uint64_t count = 0x70a3d70a3d70a3d8ull;
+        std::memcpy(bytes, "CHTR", 4);
+        std::memcpy(bytes + 4, &version, sizeof(version));
+        std::memcpy(bytes + 8, &count, sizeof(count));
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(bytes, 1, sizeof(bytes), f);
+        std::fclose(f);
+    }
+
+    TraceStore reader(dir);
+    const auto trace = reader.get(config);
+    EXPECT_EQ(reader.quarantinedCaches(), 1u);
+    EXPECT_EQ(reader.generated(), 1u);
+    EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
+    EXPECT_EQ(*trace, materializeWorkload(config));
     std::filesystem::remove_all(dir);
 }
 
 /**
  * The CHIRP_FAULT cache-bitflip action against the v2 column format:
  * the injector corrupts the freshly published cache file, and the
- * next store to consider it must quarantine and regenerate on both
- * the streaming and the zero-copy tier.
+ * next store to consider it must quarantine and regenerate.
  */
-void
-runFaultInjectedBitflip(const char *format_name, std::uint64_t seed)
+TEST(TraceStoreFault, InjectedBitflipIsQuarantined)
 {
-    const ScopedTraceFormat format(format_name);
-    const std::string dir =
-        freshCacheDir((std::string("fault_") + format_name).c_str());
-    const auto config = sampleConfig(Category::Web, seed, 4000);
+    const std::string dir = freshCacheDir("fault_bitflip");
+    const auto config = sampleConfig(Category::Web, 37, 4000);
 
     FaultInjector &injector = FaultInjector::instance();
     injector.configure("cache-bitflip@0");
@@ -379,51 +299,12 @@ runFaultInjectedBitflip(const char *format_name, std::uint64_t seed)
     TraceStore reader(dir);
     const auto regenerated = reader.get(config);
     EXPECT_EQ(reader.quarantinedCaches(), 1u)
-        << format_name << ": corrupted publish must be quarantined";
+        << "corrupted publish must be quarantined";
     EXPECT_EQ(reader.generated(), 1u);
     EXPECT_TRUE(std::filesystem::exists(
         writer.cachePath(config) + ".corrupt"));
     EXPECT_EQ(*regenerated, *generated);
     std::filesystem::remove_all(dir);
-}
-
-TEST(TraceStoreFault, InjectedBitflipQuarantinesStreamingTier)
-{
-    runFaultInjectedBitflip("columnar", 31);
-}
-
-TEST(TraceStoreFault, InjectedBitflipQuarantinesMmapTier)
-{
-    runFaultInjectedBitflip("mmap", 37);
-}
-
-/**
- * Only "columnar" and "mmap" name a trace format: the retired
- * "legacy" tier and garbage alike exit through the one unknown-format
- * fatal, whether they arrive through the environment or the bench
- * --trace-format flag.
- */
-TEST(TraceFormatDeathTest, LegacyAndGarbageEnvValuesAreFatal)
-{
-    for (const char *value : {"legacy", "no-such-format"}) {
-        SCOPED_TRACE(value);
-        const ScopedTraceFormat format(value);
-        EXPECT_EXIT(traceFormat(), ::testing::ExitedWithCode(1),
-                    "unknown format");
-        // A store validates on construction, even without a disk tier.
-        EXPECT_EXIT(TraceStore(""), ::testing::ExitedWithCode(1),
-                    "unknown format");
-    }
-}
-
-TEST(TraceFormatDeathTest, BenchFlagRejectsLegacy)
-{
-    char bench[] = "bench";
-    char flag[] = "--trace-format";
-    char legacy[] = "legacy";
-    char *argv[] = {bench, flag, legacy, nullptr};
-    EXPECT_EXIT(bench::makeContext(3, argv, 1, /*mpki_only=*/true),
-                ::testing::ExitedWithCode(1), "unknown format");
 }
 
 TEST(MemoryTraceSource, ReplaysSharedStream)

@@ -34,6 +34,7 @@
 #include "core/policy_factory.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_file.hh"
+#include "trace/trace_store.hh"
 #include "trace/synthetic/workload_factory.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -186,9 +187,14 @@ main(int argc, char **argv)
 
     SimStats stats;
     if (!trace_path.empty()) {
-        TraceFileSource source(trace_path);
+        std::string reason;
+        SharedTrace trace = mapTraceFile(trace_path, &reason);
+        if (!trace)
+            chirp_fatal("cannot read trace file '", trace_path, "': ",
+                        reason);
         std::printf("trace: %s (%llu records)\n\n", trace_path.c_str(),
-                    static_cast<unsigned long long>(source.count()));
+                    static_cast<unsigned long long>(trace->size()));
+        MemoryTraceSource source(std::move(trace), trace_path);
         stats = sim.run(source);
     } else {
         std::vector<std::unique_ptr<Program>> programs;
